@@ -481,9 +481,6 @@ def run(config: RunConfig) -> int:
     except _USAGE_ERRORS as exc:
         sys.stderr.write(f"qgwave: {exc}\n")
         return 2
-    except KeyError as exc:
-        sys.stderr.write(f"qgwave: missing or unknown argument {exc}\n")
-        return 2
     except _SCIENCE_ERRORS as exc:
         detail = {"error": type(exc).__name__, "message": str(exc)}
         if isinstance(exc, NoRootError):

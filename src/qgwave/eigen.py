@@ -29,8 +29,6 @@ path serves both orientations.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -42,6 +40,7 @@ from .errors import (
     DivergenceError,
     DomainError,
     NoRootError,
+    QgwaveError,
     UnsupportedSingularityError,
 )
 from .golden import golden_min
@@ -260,12 +259,15 @@ def _eigen_slope_beta(band: ProfileOnBand, beta: float, tol: float) -> tuple:
 def critical_beta(band: ProfileOnBand, tol: float = DEFAULT_ROOT_TOL) -> float:
     """Transitional beta: the unique root of lambda1(beta, u0_min) = 0.
 
-    lambda1 is strictly decreasing in beta with lambda1(0, u0_min) > 0 for a
-    monotone profile and lambda1 -> -inf, so a geometric upward expansion of
-    [0, 1] always brackets the root and plain bisection closes in on it.
-    The inner eigenvalue tolerance follows the local slope d(lambda1)/d(beta)
-    so the sign tests resolve the root to the requested beta tolerance at
-    every band scale.
+    At c = u0_min the discrete operator is T0 - beta * diag(1 / (u0 - u0_min))
+    with a positive diagonal, so its smallest eigenvalue is a minimum of
+    functions affine in beta: concave and strictly decreasing, with
+    lambda1(0, u0_min) > 0 for a monotone profile.  Newton's tangent then lies
+    above the curve, so the first step from beta = 0 lands on or right of the
+    root and the iterates decrease monotonically onto it with no bracket.  The
+    slope is the Hellmann-Feynman derivative from _eigen_slope_beta, and the
+    inner eigenvalue tolerance follows it so each step resolves the root to
+    the requested beta tolerance at every band scale.
     """
     if not band.monotone:
         raise DomainError("critical_beta needs a monotone profile on the band")
@@ -275,52 +277,22 @@ def critical_beta(band: ProfileOnBand, tol: float = DEFAULT_ROOT_TOL) -> float:
     scale = math.pi**2 / (4.0 * band.d * band.d)
     coarse = 1e-4 * scale
 
-    def lam(beta_val, inner_tol):
-        return principal_eigenvalue(
-            band, beta_val, band.u0_min, tol=inner_tol, want_vector=False
-        ).lambda1
-
-    lo, f_lo = 0.0, lam(0.0, coarse)
-    if f_lo <= 0.0:
+    lam, slope = _eigen_slope_beta(band, 0.0, coarse)
+    if lam <= 0.0:
         raise ConvergenceError(
-            f"lambda1(0, u0_min) = {f_lo} <= 0; expected positive for a monotone profile"
+            f"lambda1(0, u0_min) = {lam} <= 0; expected positive for a monotone profile"
         )
-    hi, f_hi = 1.0, lam(1.0, coarse)
-    while f_hi >= 0.0:
-        lo, f_lo = hi, f_hi
-        hi *= _BETA_BRACKET_GROWTH
-        if hi > _BETA_MAX:
-            raise DivergenceError(
-                f"no sign change of lambda1 up to beta = {_BETA_MAX}"
-            )
-        f_hi = lam(hi, coarse)
-
-    # Sharpen the endpoint signs at the slope-scaled tolerance before bisecting.
-    _, slope = _eigen_slope_beta(band, hi, coarse)
-    inner = min(coarse, max(abs(slope) * tol / 8.0, 1e-13 * scale))
-    f_lo = lam(lo, inner)
-    while f_lo <= 0.0:
-        if lo == 0.0:
-            raise ConvergenceError("lambda1(0, u0_min) <= 0 at refined tolerance")
-        hi, f_hi = lo, f_lo
-        lo = max(0.0, lo - max(tol, 8.0 * inner / abs(slope)))
-        f_lo = lam(lo, inner)
-    f_hi = lam(hi, inner)
-    while f_hi >= 0.0:
-        lo, f_lo = hi, f_hi
-        hi += max(tol, 8.0 * inner / abs(slope))
-        if hi > _BETA_MAX:
-            raise DivergenceError(f"no sign change of lambda1 up to beta = {_BETA_MAX}")
-        f_hi = lam(hi, inner)
-
-    while hi - lo > 0.5 * tol:
-        mid = 0.5 * (lo + hi)
-        f_mid = lam(mid, inner)
-        if f_mid > 0.0:
-            lo, f_lo = mid, f_mid
-        else:
-            hi, f_hi = mid, f_mid
-    return 0.5 * (lo + hi)
+    beta = 0.0
+    for _ in range(100):
+        step = -lam / slope
+        beta += step
+        if beta > _BETA_MAX:
+            raise DivergenceError(f"Newton iterate for the root passed beta = {_BETA_MAX}")
+        if abs(step) < 0.5 * tol:
+            return beta
+        inner = min(coarse, max(abs(slope) * tol / 8.0, 1e-13 * scale))
+        lam, slope = _eigen_slope_beta(band, beta, inner)
+    raise ConvergenceError(f"Newton iteration for beta_crit did not reach {tol} in 100 steps")
 
 
 def lambda_inf_over_c(band: ProfileOnBand, beta: float, tol: float = DEFAULT_EIGEN_TOL):
@@ -445,17 +417,6 @@ class CurvePoint:
     error: Optional[str] = None
 
 
-def _worker_count() -> int:
-    env = os.environ.get("QGWAVE_THREADS", "")
-    try:
-        n = int(env)
-    except ValueError:
-        n = 0
-    if n <= 0:
-        n = os.cpu_count() or 1
-    return max(1, n)
-
-
 def boundary_curve(
     band: ProfileOnBand,
     beta_min: float,
@@ -465,32 +426,25 @@ def boundary_curve(
 ) -> list:
     """Sample (beta, lambda1(beta, u0_min), L_crit) on n evenly spaced betas.
 
-    Points are evaluated concurrently (QGWAVE_THREADS caps the fan-out) but
-    returned ordered by beta; solver failures flag their point and the sweep
-    continues.
+    Points are returned ordered by beta; solver failures flag their point and
+    the sweep continues.
     """
     if not (beta_min < beta_max):
         raise DomainError(f"need beta_min < beta_max, got [{beta_min}, {beta_max}]")
     if n < 2:
         raise DomainError(f"need at least 2 samples, got {n}")
 
-    betas = np.linspace(beta_min, beta_max, n)
-
     def solve_point(beta_val: float) -> CurvePoint:
         try:
             lam = principal_eigenvalue(
                 band, beta_val, band.u0_min, tol=tol, want_vector=False
             ).lambda1
-        except Exception as exc:  # per-point flagging, sweep continues
+        except QgwaveError as exc:  # per-point flagging, sweep continues
             return CurvePoint(float(beta_val), None, None, error=str(exc))
         L_crit = 2.0 * math.pi / math.sqrt(-lam) if lam < 0 else None
         return CurvePoint(float(beta_val), lam, L_crit)
 
-    workers = min(_worker_count(), n)
-    if workers == 1:
-        return [solve_point(b) for b in betas]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(solve_point, betas))
+    return [solve_point(b) for b in np.linspace(beta_min, beta_max, n)]
 
 
 def scaling_check(

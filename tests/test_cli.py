@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+import qgwave.cli
 from qgwave.cli import main
 from qgwave.flows import MIN_CRITICAL_BETA0
 
@@ -259,6 +260,14 @@ class TestUsage:
             main(["--version"])
         assert err.value.code == 0
         assert "qgwave" in capsys.readouterr().out
+
+    def test_handler_key_error_propagates(self, monkeypatch):
+        def broken(config):
+            raise KeyError("beta")
+
+        monkeypatch.setitem(qgwave.cli._DISPATCH, "eigen", broken)
+        with pytest.raises(KeyError):
+            main(["eigen", "--profile", "couette", "--d", "1", "--beta", "1", "--c", "-2"])
 
     def test_tol_must_be_positive(self, capsys):
         code, _, _ = run_cli(

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from scipy.special import jn_zeros
 
+import qgwave.eigen
 from qgwave import (
     ConcaveParabola,
     ConvergenceError,
@@ -221,6 +222,22 @@ class TestCriticalBeta:
         down = critical_beta(band_extrema(LinearProfile(-2.0, 0.0), 1.0), tol=1e-5)
         assert up == pytest.approx(down, abs=2e-5)
 
+    @pytest.mark.parametrize("tol", [1e-4, 1e-6, 1e-8])
+    def test_newton_few_solves_within_tol(self, couette_band, monkeypatch, tol):
+        # lambda1(beta, u0_min) is concave, so Newton from beta = 0 needs no
+        # bracket and converges in a handful of eigen solves
+        calls = []
+        solve = qgwave.eigen.principal_eigenvalue
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(qgwave.eigen, "principal_eigenvalue", counted)
+        bc = critical_beta(couette_band, tol=tol)
+        assert abs(bc - BESSEL_BETA_CRIT) <= tol
+        assert len(calls) <= 8
+
 
 class TestInfOverC:
     def test_endpoint_bound(self, couette_band):
@@ -317,13 +334,13 @@ class TestBoundaryCurve:
         assert len(pts) == 3
         assert all(p.error is not None and p.lambda1_at_u0min is None for p in pts)
 
-    def test_thread_cap_does_not_change_results(self, couette_band, monkeypatch):
-        baseline = boundary_curve(couette_band, 1.0, 4.0, 4)
-        monkeypatch.setenv("QGWAVE_THREADS", "1")
-        serial = boundary_curve(couette_band, 1.0, 4.0, 4)
-        assert [(p.beta, p.lambda1_at_u0min, p.L_crit) for p in baseline] == [
-            (p.beta, p.lambda1_at_u0min, p.L_crit) for p in serial
-        ]
+    def test_programming_errors_propagate(self, couette_band, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("not a solver failure")
+
+        monkeypatch.setattr(qgwave.eigen, "principal_eigenvalue", broken)
+        with pytest.raises(TypeError):
+            boundary_curve(couette_band, 1.0, 2.0, 3)
 
 
 class TestScalingIdentity:
