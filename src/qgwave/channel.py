@@ -268,7 +268,7 @@ def read_field(path) -> WaveField:
     try:
         with open(path, "r", encoding="ascii") as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FieldFormatError(f"cannot read wave-field file {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise FieldFormatError("wave-field file must hold a JSON object")

@@ -319,7 +319,8 @@ def rigidity_predicates(field: WaveField, eps_scale: float = DEFAULT_EPS_SCALE) 
     grid = field.grid
     u, c, beta = field.u, field.c, field.beta
 
-    _, grad_mag, lap_u, _, _, _ = _tolerances(field, eps_scale)
+    grad_mag = np.hypot(*gradient(u, grid))
+    lap_u = laplacian(u, grid)
     eps_c = _directional_margin(u, grid, eps_scale)
     eps_g = _directional_margin(grad_mag, grid, eps_scale)
     eps_q = _directional_margin(lap_u, grid, eps_scale)

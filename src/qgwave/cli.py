@@ -95,7 +95,6 @@ def _cmd_eigen(config: RunConfig) -> int:
     payload = {
         "lambda1": res.lambda1,
         "n_used": res.n_used,
-        "extrapolated": res.extrapolated,
         "est_error": res.est_error,
         "tol": config.tol,
         "profile": band.profile.spec(),
@@ -110,7 +109,7 @@ def _cmd_eigen(config: RunConfig) -> int:
         _emit(
             config,
             f"lambda1 = {_fmt(res.lambda1)}  (n_used={res.n_used}, "
-            f"est_error={_fmt(res.est_error)}, extrapolated={res.extrapolated})\n",
+            f"est_error={_fmt(res.est_error)})\n",
         )
     return 0
 

@@ -14,12 +14,13 @@ remain usable there.
 Discretization: interior nodes y_j = -d + j*h, j = 1..N-1, h = 2d/N, giving
 a symmetric tridiagonal matrix with diagonal 2/h^2 + V(y_j) and off-diagonal
 -1/h^2.  Its smallest eigenvalue is extracted by Sturm-sequence bisection
-(LAPACK stebz) to near machine precision; the grid is refined N -> 2N until
-the Cauchy difference |lambda(N) - lambda(2N)| drops below the requested
-tolerance.  Smooth (nonsingular) problems report the Richardson extrapolate
-(4*lambda(2N) - lambda(N)) / 3; singular problems report lambda(2N) because
-the singular wall breaks the clean h^2 error expansion the extrapolation
-assumes.
+(LAPACK stebz) and a stable Rayleigh quotient; the grid is refined N -> 2N
+and every rung reports the Richardson extrapolate
+E(2N) = (4*lambda(2N) - lambda(N)) / 3.  The ladder stops once
+|E(2N) - E(N)| < tol, and that difference is the reported error estimate.
+The error of lambda(N) is a clean multiple of h^2 also at c = u0_min: the
+regular solution at the singular wall is a Frobenius series with indicial
+roots 0 and 1 and no log term, and the raw iterates there show ratio 4.
 
 Decreasing profiles are reflected y -> -y first, which leaves every
 eigenvalue unchanged and pins the singular wall at y = -d, so a single code
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import LinAlgError, eigh_tridiagonal, solve_banded
+from scipy.linalg import eigh_tridiagonal
 
 from .errors import (
     ConvergenceError,
@@ -66,7 +67,6 @@ class EigenProblem:
     band: ProfileOnBand
     beta: float
     c: float
-    singular: bool
 
     @staticmethod
     def make(band: ProfileOnBand, beta: float, c: float) -> "EigenProblem":
@@ -84,7 +84,7 @@ class EigenProblem:
                 "c = u0_min needs a certified monotone profile so the potential "
                 "blows up only at one wall"
             )
-        return EigenProblem(band, beta, c, singular)
+        return EigenProblem(band, beta, c)
 
     def potential(self) -> Callable[[np.ndarray], np.ndarray]:
         band, beta, c = self.band, self.beta, self.c
@@ -118,14 +118,15 @@ class EigenResult:
 
     eigvec holds the interior-node eigenfunction samples on the final grid,
     sign-normalized positive and L2-normalized by the trapezoid rule (the
-    wall values are zero).  history records (intervals, eigenvalue) for each
-    rung of the refinement ladder; est_error is the last Cauchy difference.
+    wall values are zero).  history records (intervals, raw eigenvalue) for
+    each rung of the refinement ladder.  lambda1 is the Richardson extrapolate
+    of the last two rungs and est_error is its difference from the previous
+    rung's extrapolate.
     """
 
     lambda1: float
     eigvec: Optional[np.ndarray]
     n_used: int
-    extrapolated: bool
     est_error: float
     history: tuple
 
@@ -148,8 +149,8 @@ def _solve_rung(V, d, n):
     """Smallest eigenvalue and ground-state vector on N = n intervals.
 
     Sturm-sequence bisection isolates the eigenvalue, inverse iteration
-    sharpens the eigenvector, and the stable Rayleigh quotient restores
-    near-machine absolute accuracy for the eigenvalue itself.
+    (LAPACK stein) yields the eigenvector, and the stable Rayleigh quotient
+    restores near-machine absolute accuracy for the eigenvalue itself.
     """
     h = 2.0 * d / n
     y = -d + h * np.arange(1, n)
@@ -157,27 +158,13 @@ def _solve_rung(V, d, n):
     diag = 2.0 / (h * h) + Vy
     off = np.full(n - 2, -1.0 / (h * h))
 
-    w, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, 0))
-    lam = float(w[0])
+    _, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, 0))
     vec = vecs[:, 0]
-
-    ab = np.zeros((3, n - 1))
-    ab[0, 1:] = off
-    ab[1] = diag - lam
-    ab[2, :-1] = off
-    try:
-        refined = solve_banded((1, 1), ab, vec)
-        norm = float(np.linalg.norm(refined))
-        if norm > 0 and np.all(np.isfinite(refined)):
-            vec = refined / norm
-    except LinAlgError:
-        pass  # shift numerically exact: the bisection vector is already the answer
-
     lam = _rayleigh_quotient(vec, Vy, h)
     if vec[int(np.argmax(np.abs(vec)))] < 0:
         vec = -vec
     vec = vec / math.sqrt(h * float(np.sum(vec * vec)))
-    return lam, vec, h
+    return lam, vec
 
 
 def principal_eigenvalue(
@@ -193,46 +180,39 @@ def principal_eigenvalue(
 
     Raises DomainError for c > u0_min, UnsupportedSingularityError for a
     singular request on a non-monotone band, and ConvergenceError (carrying
-    the last two iterates) if the ladder reaches n_max without meeting tol.
+    the last two iterates) if the ladder reaches n_max without
+    |E(2N) - E(N)| < tol.
     """
     if not (tol > 0):
         raise DomainError(f"tolerance must be positive, got {tol}")
-    prob = EigenProblem.make(band, beta, c)
-    V = prob.potential()
+    V = EigenProblem.make(band, beta, c).potential()
     d = band.d
 
-    history = []
     n = n_start
-    lam_prev, vec, _ = _solve_rung(V, d, n)
-    history.append((n, lam_prev))
+    lam_prev, vec = _solve_rung(V, d, n)
+    history = [(n, lam_prev)]
+    ext_prev = None
     while True:
-        n2 = 2 * n
-        if n2 > n_max:
+        n *= 2
+        if n > n_max:
             raise ConvergenceError(
-                f"eigenvalue ladder reached N={n} without |lambda(N)-lambda(2N)| < {tol}",
+                f"eigenvalue ladder reached N={n // 2} without |E(2N)-E(N)| < {tol} "
+                "for the extrapolates E(2N) = (4*lambda(2N) - lambda(N))/3",
                 last_iterates=history[-2:],
             )
-        lam, vec, _ = _solve_rung(V, d, n2)
-        history.append((n2, lam))
-        diff = abs(lam - lam_prev)
-        if diff < tol:
-            break
-        n, lam_prev = n2, lam
-
-    if prob.singular:
-        lambda1 = lam
-        extrapolated = False
-    else:
-        lambda1 = (4.0 * lam - lam_prev) / 3.0
-        extrapolated = True
-
-    eigvec = vec if want_vector else None
+        lam, vec = _solve_rung(V, d, n)
+        history.append((n, lam))
+        ext = (4.0 * lam - lam_prev) / 3.0
+        if ext_prev is not None:
+            diff = abs(ext - ext_prev)
+            if diff < tol:
+                break
+        lam_prev, ext_prev = lam, ext
 
     return EigenResult(
-        lambda1=lambda1,
-        eigvec=eigvec,
-        n_used=n2 - 1,
-        extrapolated=extrapolated,
+        lambda1=ext,
+        eigvec=vec if want_vector else None,
+        n_used=n - 1,
         est_error=diff,
         history=tuple(history),
     )

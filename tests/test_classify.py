@@ -1,5 +1,6 @@
 """Wave-speed classification, speed bound, and rigidity predicates."""
 
+import importlib
 import math
 
 import numpy as np
@@ -189,6 +190,21 @@ class TestRigidityPredicates:
         verdict = rigidity_predicates(wf)
         gap = {t.name: t for t in verdict.applicable_theorems}["rayleigh_stable_speed_gap"]
         assert gap.conclusion == "shear flow"
+
+    def test_one_gradient_per_differentiated_field(self, monkeypatch):
+        # u itself, then one directional margin each for u, |grad u| and lap u
+        # (the package re-exports classify(), which shadows the module name)
+        module = importlib.import_module("qgwave.classify")
+        calls = []
+        real = module.gradient
+
+        def counting(f, grid):
+            calls.append(f.shape)
+            return real(f, grid)
+
+        monkeypatch.setattr(module, "gradient", counting)
+        rigidity_predicates(make_inflection_wave(Example31Params(beta=1.0), channel_grid(128, 65)))
+        assert len(calls) == 4
 
 
 class TestProfileRigidityBound:

@@ -184,8 +184,12 @@ class TestExamplePipeline:
         doc = json.loads(path.read_text())
         assert doc["beta"] == 0.0 and doc["c"] == 0.0
 
-    def test_classify_missing_file_exits_2(self, capsys, tmp_path):
-        code, _, _ = run_cli(capsys, "classify", "--field", str(tmp_path / "nope.json"))
+    @pytest.mark.parametrize("content", [None, b"\xff{"], ids=["missing", "undecodable"])
+    def test_classify_missing_file_exits_2(self, capsys, tmp_path, content):
+        path = tmp_path / "nope.json"
+        if content is not None:
+            path.write_bytes(content)
+        code, _, _ = run_cli(capsys, "classify", "--field", str(path))
         assert code == 2
 
 

@@ -49,12 +49,10 @@ class TestPrincipalEigenvalue:
     def test_zero_potential_dirichlet(self, couette_band):
         res = principal_eigenvalue(couette_band, 0.0, -2.0)
         assert res.lambda1 == pytest.approx(math.pi**2 / 4.0, abs=1e-8)
-        assert res.extrapolated
 
     def test_singular_near_transitional_beta(self, couette_band):
         res = principal_eigenvalue(couette_band, 1.8352, -1.0)
         assert abs(res.lambda1) < 5e-3
-        assert not res.extrapolated
 
     def test_singular_bessel_oracle(self, couette_band):
         res = principal_eigenvalue(couette_band, BESSEL_BETA_CRIT, -1.0, tol=1e-8)
@@ -64,6 +62,31 @@ class TestPrincipalEigenvalue:
         # beta = 2: phi = t (1 - t/2) exp(-t/2), lambda = -1/4 exactly
         res = principal_eigenvalue(couette_band, 2.0, -1.0, tol=1e-8)
         assert res.lambda1 == pytest.approx(-0.25, abs=1e-6)
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-8])
+    @pytest.mark.parametrize(
+        "beta,c,exact",
+        [
+            (2.0, -1.0, -0.25),
+            (BESSEL_BETA_CRIT, -1.0, 0.0),
+            (0.0, -2.0, math.pi**2 / 4.0),
+        ],
+        ids=["beta2", "bessel", "dirichlet"],
+    )
+    def test_extrapolate_error_bounded_by_estimate(self, couette_band, beta, c, exact, tol):
+        # singular (c = u0_min = -1) and regular cases share one ladder: the
+        # estimate bounds the error of the reported extrapolate, on a short ladder
+        res = principal_eigenvalue(couette_band, beta, c, tol=tol)
+        assert abs(res.lambda1 - exact) <= res.est_error <= tol
+        assert res.n_used + 1 <= 2048
+
+    def test_near_singular_interior_well_converges(self):
+        band = band_extrema(Kolmogorov(), math.pi)
+        res = principal_eigenvalue(band, 3.0, band.u0_min - 1e-4, tol=1e-6, want_vector=False)
+        # reference: extrapolate of the rungs N = 2^19 and 2^20, whose raw
+        # Cauchy differences have observed ratio 4.0000
+        assert res.lambda1 == pytest.approx(-12757.4310567449, abs=1e-6)
+        assert res.est_error < 1e-6
 
     def test_parabola_table_corner(self):
         band = band_extrema(ConcaveParabola(7.0), 1.0)
