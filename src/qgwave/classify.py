@@ -13,7 +13,7 @@ reported so the verdict can be audited.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -122,30 +122,7 @@ class ClassificationReport:
         return tuple(cats)
 
     def to_dict(self) -> dict:
-        return {
-            "genuine": self.genuine,
-            "v_max": self.v_max,
-            "u_min": self.u_min,
-            "u_max": self.u_max,
-            "c": self.c,
-            "beta": self.beta,
-            "c_beta_plus": self.c_beta_plus,
-            "category_inflection": self.category_inflection,
-            "inflection_witnesses": list(self.inflection_witnesses),
-            "inflection_count": self.inflection_count,
-            "category_critical": self.category_critical,
-            "critical_witnesses": list(self.critical_witnesses),
-            "critical_count": self.critical_count,
-            "category_extremum": self.category_extremum,
-            "category_outside": self.category_outside,
-            "eps_scale": self.eps_scale,
-            "eps_c": self.eps_c,
-            "eps_g": self.eps_g,
-            "eps_q": self.eps_q,
-            "h_max": self.h_max,
-            "theorem_consistent": self.theorem_consistent,
-            "categories": list(self.categories()),
-        }
+        return {**asdict(self), "categories": list(self.categories())}
 
 
 def _tolerances(field: WaveField, eps_scale: float):
@@ -255,26 +232,12 @@ class HypothesisCheck:
     satisfied: bool
     evidence: dict
 
-    def to_dict(self) -> dict:
-        return {
-            "condition": self.condition,
-            "satisfied": self.satisfied,
-            "evidence": self.evidence,
-        }
-
 
 @dataclass(frozen=True)
 class TheoremCheck:
     name: str
     hypotheses: tuple
     conclusion: str
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "hypotheses": [h.to_dict() for h in self.hypotheses],
-            "conclusion": self.conclusion,
-        }
 
 
 @dataclass(frozen=True)
@@ -292,7 +255,7 @@ class RigidityVerdict:
         return any(t.conclusion == "shear flow" for t in self.applicable_theorems)
 
     def to_dict(self) -> dict:
-        return {"applicable_theorems": [t.to_dict() for t in self.applicable_theorems]}
+        return asdict(self)
 
 
 def _directional_margin(f: np.ndarray, grid: Grid2D, eps_scale: float) -> float:

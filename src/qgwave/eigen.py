@@ -51,65 +51,34 @@ DEFAULT_EIGEN_TOL = 1e-6
 DEFAULT_ROOT_TOL = 1e-4
 _N_START = 256
 _N_MAX = 1 << 20
-_BETA_BRACKET_GROWTH = 4.0
+_C_BRACKET_GROWTH = 4.0
 _BETA_MAX = 1e9
 
 
-@dataclass(frozen=True)
-class EigenProblem:
-    """A validated eigenproblem: band, Coriolis gradient, and wave speed.
+def _oriented_profile(band: ProfileOnBand, beta: float, c: float) -> Callable:
+    """Validate (beta, c) and return y -> (u0, u0', u0'') on the oriented band.
 
-    The orientation is normalized so the profile increases across the band;
-    the potential is evaluated through oriented closures, never by mutating
-    the profile itself.
+    A decreasing profile is read at -y so that u0 increases across the band
+    and a singular wall sits at y = -d; u0' then carries the wrong sign, but
+    the potential and its derivatives use only u0 and u0''.
     """
-
-    band: ProfileOnBand
-    beta: float
-    c: float
-
-    @staticmethod
-    def make(band: ProfileOnBand, beta: float, c: float) -> "EigenProblem":
-        if not math.isfinite(beta):
-            raise DomainError(f"beta must be finite, got {beta}")
-        if not math.isfinite(c):
-            raise DomainError(f"c must be finite, got {c}")
-        if c > band.u0_min:
-            raise DomainError(
-                f"wave speed c={c} exceeds the profile minimum u0_min={band.u0_min}"
-            )
-        singular = c == band.u0_min
-        if singular and not band.monotone:
-            raise UnsupportedSingularityError(
-                "c = u0_min needs a certified monotone profile so the potential "
-                "blows up only at one wall"
-            )
-        return EigenProblem(band, beta, c)
-
-    def potential(self) -> Callable[[np.ndarray], np.ndarray]:
-        band, beta, c = self.band, self.beta, self.c
-        prof = band.profile
-        if band.orientation == "decreasing":
-
-            def V(y):
-                u0, _, u0pp = prof.eval(-y)
-                return -(beta - u0pp) / (u0 - c)
-
-        else:
-
-            def V(y):
-                u0, _, u0pp = prof.eval(y)
-                return -(beta - u0pp) / (u0 - c)
-
-        return V
-
-    def speed_gap(self) -> Callable[[np.ndarray], np.ndarray]:
-        """u0(y) - c on the oriented band (for eigenvalue derivatives)."""
-        band, c = self.band, self.c
-        prof = band.profile
-        if band.orientation == "decreasing":
-            return lambda y: prof.eval(-y)[0] - c
-        return lambda y: prof.eval(y)[0] - c
+    if not math.isfinite(beta):
+        raise DomainError(f"beta must be finite, got {beta}")
+    if not math.isfinite(c):
+        raise DomainError(f"c must be finite, got {c}")
+    if c > band.u0_min:
+        raise DomainError(
+            f"wave speed c={c} exceeds the profile minimum u0_min={band.u0_min}"
+        )
+    if c == band.u0_min and not band.monotone:
+        raise UnsupportedSingularityError(
+            "c = u0_min needs a certified monotone profile so the potential "
+            "blows up only at one wall"
+        )
+    prof = band.profile
+    if band.orientation == "decreasing":
+        return lambda y: prof.eval(-y)
+    return prof.eval
 
 
 @dataclass(frozen=True)
@@ -185,7 +154,12 @@ def principal_eigenvalue(
     """
     if not (tol > 0):
         raise DomainError(f"tolerance must be positive, got {tol}")
-    V = EigenProblem.make(band, beta, c).potential()
+    u = _oriented_profile(band, beta, c)
+
+    def V(y):
+        u0, _, u0pp = u(y)
+        return -(beta - u0pp) / (u0 - c)
+
     d = band.d
 
     n = n_start
@@ -226,13 +200,12 @@ def _eigen_slope_beta(band: ProfileOnBand, beta: float, tol: float) -> tuple:
     trapezoid rule on the final grid.
     """
     res = principal_eigenvalue(band, beta, band.u0_min, tol=tol, want_vector=True)
-    prob = EigenProblem.make(band, beta, band.u0_min)
-    gap = prob.speed_gap()
+    u = _oriented_profile(band, beta, band.u0_min)
     d = band.d
     n = res.n_used + 1
     h = 2.0 * d / n
     y = -d + h * np.arange(1, n)
-    slope = -h * float(np.sum(res.eigvec**2 / gap(y)))
+    slope = -h * float(np.sum(res.eigvec**2 / (u(y)[0] - band.u0_min)))
     return res.lambda1, slope
 
 
@@ -360,7 +333,7 @@ def wave_speed_root(
     c_far = band.u0_min - t
     f_far = lam(c_far) - target
     while f_far <= 0.0:
-        t *= _BETA_BRACKET_GROWTH
+        t *= _C_BRACKET_GROWTH
         if t > 1e12:
             raise DivergenceError("wave-speed bracket expansion exceeded 1e12")
         c_far = band.u0_min - t

@@ -11,7 +11,7 @@ angle and so is even in latitude.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .classify import profile_rigidity_bound
 from .errors import DomainError
@@ -33,12 +33,7 @@ class PlanetData:
             raise DomainError("planet parameters must all be positive")
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "R_prime": self.R_prime,
-            "Omega_prime": self.Omega_prime,
-            "U_prime": self.U_prime,
-        }
+        return asdict(self)
 
 
 JUPITER = PlanetData("jupiter", 69911e3, 1.76e-4, 150.0)

@@ -2,9 +2,8 @@
 
 Every profile evaluates (u0, u0', u0'') in closed form so the eigenvalue
 solver never differentiates numerically.  band_extrema certifies extrema and
-monotonicity of a profile over a band [-d, d]: analytically for linear and
-quadratic kinds, otherwise by a dense scan refined with golden-section
-search.
+monotonicity of a profile over a band [-d, d]: exactly for polynomials of
+degree <= 2, otherwise by a dense scan refined with golden-section search.
 """
 
 from __future__ import annotations
@@ -25,14 +24,9 @@ _REFINE_TOL = 1e-12
 class ShearProfile:
     """Base class: subclasses provide eval() and a spec string."""
 
-    kind = "abstract"
-
     def eval(self, y):
         """Return (u0, u0', u0'') at y; accepts scalars or arrays."""
         raise NotImplementedError
-
-    def u0(self, y):
-        return self.eval(y)[0]
 
     def spec(self) -> str:
         raise NotImplementedError
@@ -41,30 +35,65 @@ class ShearProfile:
         """Profile a*u0 with derivatives scaled accordingly."""
         if not (a > 0 and math.isfinite(a)):
             raise DomainError(f"scale factor must be positive, got {a}")
+        return self._times(a)
+
+    def _times(self, a: float) -> "ShearProfile":
         return _Scaled(self, a)
 
     def __repr__(self):
         return f"<ShearProfile {self.spec()}>"
 
 
-@dataclass(frozen=True)
-class LinearProfile(ShearProfile):
-    """u0(y) = a*y + b."""
+class Polynomial(ShearProfile):
+    """u0(y) = c0 + c1*y + c2*y^2 + ...; Horner evaluation, exact derivatives."""
 
-    a: float
-    b: float = 0.0
-    kind = "linear"
+    def __init__(self, coeffs: Iterable[float]):
+        coeffs = tuple(float(c) for c in coeffs)
+        if not coeffs:
+            raise DomainError("polynomial profile needs at least one coefficient")
+        self.coeffs = coeffs
+        self._d1 = tuple(k * c for k, c in enumerate(coeffs))[1:]
+        self._d2 = tuple(k * c for k, c in enumerate(self._d1))[1:]
+
+    @staticmethod
+    def _horner(coeffs, y):
+        acc = np.full_like(y, coeffs[-1])
+        for c in reversed(coeffs[:-1]):
+            acc = acc * y + c
+        return acc
 
     def eval(self, y):
         y = np.asarray(y, dtype=float)
-        return self.a * y + self.b, np.full_like(y, self.a), np.zeros_like(y)
+        return (
+            self._horner(self.coeffs, y),
+            self._horner(self._d1, y) if self._d1 else np.zeros_like(y),
+            self._horner(self._d2, y) if self._d2 else np.zeros_like(y),
+        )
+
+    def spec(self):
+        return "poly:" + ",".join(f"{c:g}" for c in self.coeffs)
+
+    def _times(self, a):
+        return Polynomial(a * c for c in self.coeffs)
+
+    def __eq__(self, other):
+        return isinstance(other, Polynomial) and self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash(("poly", self.coeffs))
+
+
+class LinearProfile(Polynomial):
+    """u0(y) = a*y + b."""
+
+    def __init__(self, a: float, b: float = 0.0):
+        super().__init__((b, a))
+        self.a, self.b = a, b
 
     def spec(self):
         return f"linear:{self.a:g},{self.b:g}"
 
-    def scaled(self, a):
-        if not (a > 0 and math.isfinite(a)):
-            raise DomainError(f"scale factor must be positive, got {a}")
+    def _times(self, a):
         return LinearProfile(a * self.a, a * self.b)
 
 
@@ -73,57 +102,35 @@ def couette() -> LinearProfile:
     return LinearProfile(1.0, 0.0)
 
 
-@dataclass(frozen=True)
-class ConcaveParabola(ShearProfile):
+class ConcaveParabola(Polynomial):
     """u0(y) = -y^2 + b*y + e, so u0'' = -2 everywhere.
 
     The offset e shifts u0 but cancels from u0 - u0_min, so the eigenvalue
     problems built on this profile do not depend on it.
     """
 
-    b: float
-    e: float = 0.0
-    kind = "parabola"
-
-    def eval(self, y):
-        y = np.asarray(y, dtype=float)
-        return -y * y + self.b * y + self.e, -2.0 * y + self.b, np.full_like(y, -2.0)
+    def __init__(self, b: float, e: float = 0.0):
+        super().__init__((e, b, -1.0))
+        self.b, self.e = b, e
 
     def spec(self):
         return f"parabola:{self.b:g},{self.e:g}"
 
-    def scaled(self, a):
-        if not (a > 0 and math.isfinite(a)):
-            raise DomainError(f"scale factor must be positive, got {a}")
-        return Polynomial((a * self.e, a * self.b, -a))
 
-
-@dataclass(frozen=True)
-class CouettePoiseuille(ShearProfile):
+class CouettePoiseuille(Polynomial):
     """u0(y) = gamma*y + (1 - gamma)*y^2."""
 
-    gamma: float
-    kind = "cp"
-
-    def eval(self, y):
-        y = np.asarray(y, dtype=float)
-        g = self.gamma
-        return g * y + (1.0 - g) * y * y, g + 2.0 * (1.0 - g) * y, np.full_like(y, 2.0 - 2.0 * g)
+    def __init__(self, gamma: float):
+        super().__init__((0.0, gamma, 1.0 - gamma))
+        self.gamma = gamma
 
     def spec(self):
         return f"cp:{self.gamma:g}"
-
-    def scaled(self, a):
-        if not (a > 0 and math.isfinite(a)):
-            raise DomainError(f"scale factor must be positive, got {a}")
-        return Polynomial((0.0, a * self.gamma, a * (1.0 - self.gamma)))
 
 
 @dataclass(frozen=True)
 class Bickley(ShearProfile):
     """The jet profile u0(y) = -sech^2(y)."""
-
-    kind = "bickley"
 
     def eval(self, y):
         y = np.asarray(y, dtype=float)
@@ -144,8 +151,6 @@ BICKLEY_INFLECTION = 0.5 * math.log(2.0 + math.sqrt(3.0))
 class Kolmogorov(ShearProfile):
     """u0(y) = sin(y)."""
 
-    kind = "kolmogorov"
-
     def eval(self, y):
         y = np.asarray(y, dtype=float)
         return np.sin(y), np.cos(y), -np.sin(y)
@@ -154,53 +159,8 @@ class Kolmogorov(ShearProfile):
         return "kolmogorov"
 
 
-class Polynomial(ShearProfile):
-    """u0(y) = c0 + c1*y + c2*y^2 + ...; Horner evaluation, exact derivatives."""
-
-    kind = "poly"
-
-    def __init__(self, coeffs: Iterable[float]):
-        coeffs = tuple(float(c) for c in coeffs)
-        if not coeffs:
-            raise DomainError("polynomial profile needs at least one coefficient")
-        self.coeffs = coeffs
-        self._d1 = tuple(k * c for k, c in enumerate(coeffs))[1:]
-        self._d2 = tuple(k * c for k, c in enumerate(self._d1))[1:]
-
-    @staticmethod
-    def _horner(coeffs, y):
-        acc = np.zeros_like(y)
-        for c in reversed(coeffs):
-            acc = acc * y + c
-        return acc
-
-    def eval(self, y):
-        y = np.asarray(y, dtype=float)
-        return (
-            self._horner(self.coeffs, y),
-            self._horner(self._d1, y) if self._d1 else np.zeros_like(y),
-            self._horner(self._d2, y) if self._d2 else np.zeros_like(y),
-        )
-
-    def spec(self):
-        return "poly:" + ",".join(f"{c:g}" for c in self.coeffs)
-
-    def scaled(self, a):
-        if not (a > 0 and math.isfinite(a)):
-            raise DomainError(f"scale factor must be positive, got {a}")
-        return Polynomial(tuple(a * c for c in self.coeffs))
-
-    def __eq__(self, other):
-        return isinstance(other, Polynomial) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(("poly", self.coeffs))
-
-
 class _Scaled(ShearProfile):
-    """a * u0 for kinds without a closed-form scaled representative."""
-
-    kind = "scaled"
+    """a * u0 for profiles without a closed-form scaled representative."""
 
     def __init__(self, inner: ShearProfile, a: float):
         self.inner = inner
@@ -300,48 +260,23 @@ def band_extrema(profile: ShearProfile, d: float) -> ProfileOnBand:
     if not (d > 0 and math.isfinite(d)):
         raise DomainError(f"band half-width must be positive, got d={d}")
 
-    if isinstance(profile, LinearProfile):
-        lo = profile.a * -d + profile.b
-        hi = profile.a * d + profile.b
-        monotone = profile.a != 0.0
-        orientation = "increasing" if profile.a > 0 else ("decreasing" if profile.a < 0 else "none")
-        return ProfileOnBand(profile, d, min(lo, hi), max(lo, hi), 0.0, 0.0, monotone, orientation)
-
-    if isinstance(profile, ConcaveParabola):
-        crit = 0.5 * profile.b
-        vals = [float(profile.eval(y)[0]) for y in (-d, d)]
-        if -d < crit < d:
-            vals.append(float(profile.eval(crit)[0]))
-        monotone = abs(crit) > d
-        orientation = "none"
-        if monotone:
-            orientation = "increasing" if profile.b > 0 else "decreasing"
-        return ProfileOnBand(profile, d, min(vals), max(vals), -2.0, -2.0, monotone, orientation)
-
-    if isinstance(profile, CouettePoiseuille):
-        g = profile.gamma
-        upp = 2.0 - 2.0 * g
-        vals = [float(profile.eval(y)[0]) for y in (-d, d)]
-        # u0' = g + 2(1-g) y vanishes at crit (unless the profile is linear)
-        crit = None if g == 1.0 else -g / (2.0 * (1.0 - g))
-        if crit is not None and -d < crit < d:
-            vals.append(float(profile.eval(crit)[0]))
-        if crit is not None and -d <= crit <= d:
-            monotone, orientation = False, "none"
-        else:
-            slope_mid = float(profile.eval(0.0)[1])
-            monotone = slope_mid != 0.0
-            orientation = (
-                "increasing" if slope_mid > 0 else ("decreasing" if slope_mid < 0 else "none")
-            )
-        return ProfileOnBand(profile, d, min(vals), max(vals), upp, upp, monotone, orientation)
-
-    ys = np.linspace(-d, d, _SCAN_POINTS)
-    u0, u0p, u0pp = profile.eval(ys)
-
-    u0_min, u0_max = _refined_extrema(lambda t: profile.eval(t)[0], ys, u0)
-    upp_min, upp_max = _refined_extrema(lambda t: profile.eval(t)[2], ys, u0pp)
-    slope_min, slope_max = _refined_extrema(lambda t: profile.eval(t)[1], ys, u0p)
+    if isinstance(profile, Polynomial) and len(profile.coeffs) <= 3:
+        # u0' is affine: u0 peaks only at the walls or the vertex, and u0'
+        # takes its extremes at the walls.
+        u0, u0p, u0pp = profile.eval(np.array([-d, d]))
+        vals = list(u0)
+        c1, c2 = (profile.coeffs + (0.0, 0.0))[1:3]
+        if c2 != 0.0 and -d < -c1 / (2.0 * c2) < d:
+            vals.append(profile.eval(-c1 / (2.0 * c2))[0])
+        u0_min, u0_max = float(min(vals)), float(max(vals))
+        upp_min = upp_max = float(u0pp[0])
+        slope_min, slope_max = float(min(u0p)), float(max(u0p))
+    else:
+        ys = np.linspace(-d, d, _SCAN_POINTS)
+        u0, u0p, u0pp = profile.eval(ys)
+        u0_min, u0_max = _refined_extrema(lambda t: profile.eval(t)[0], ys, u0)
+        upp_min, upp_max = _refined_extrema(lambda t: profile.eval(t)[2], ys, u0pp)
+        slope_min, slope_max = _refined_extrema(lambda t: profile.eval(t)[1], ys, u0p)
 
     if slope_min > 0.0:
         monotone, orientation = True, "increasing"

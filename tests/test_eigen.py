@@ -273,15 +273,30 @@ class TestInfOverC:
         inf_val, _ = lambda_inf_over_c(couette_band, 0.0, tol=1e-6)
         assert inf_val == pytest.approx(math.pi**2 / 4.0, abs=1e-5)
 
-    def test_matches_dense_scan(self, couette_band):
+    @pytest.mark.parametrize(
+        "profile,d,beta,span",
+        [
+            # beta >= max u0'': lambda1 is concave and non-increasing in c,
+            # so the infimum sits at c = u0_min
+            (couette(), 1.0, 1.0, 100.0),
+            # beta < max u0'': interior minimum near u0_min - 0.2, below both
+            # lambda1(u0_min) and the c -> -inf limit pi^2/(4 d^2)
+            (Kolmogorov(), 1.2, 0.3, 0.5),
+        ],
+        ids=["couette", "kolmogorov-interior"],
+    )
+    def test_matches_dense_scan(self, profile, d, beta, span):
+        band = band_extrema(profile, d)
         tol = 1e-6
-        inf_val, _ = lambda_inf_over_c(couette_band, 1.0, tol=tol)
-        cs = np.linspace(-1.0 - 100.0, -1.0, 400)
+        inf_val, argmin_c = lambda_inf_over_c(band, beta, tol=tol)
+        cs = np.linspace(band.u0_min - span, band.u0_min, 400)
         scan = min(
-            principal_eigenvalue(couette_band, 1.0, float(c), tol=tol, want_vector=False).lambda1
+            principal_eigenvalue(band, beta, float(c), tol=tol, want_vector=False).lambda1
             for c in cs
         )
         assert abs(inf_val - scan) <= 5 * tol
+        if band.u0pp_max > beta:
+            assert argmin_c < band.u0_min
 
 
 class TestWaveSpeedRoot:

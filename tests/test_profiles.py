@@ -18,7 +18,7 @@ from qgwave import (
     couette,
     parse_profile,
 )
-from qgwave.profiles import BICKLEY_INFLECTION
+from qgwave.profiles import BICKLEY_INFLECTION, _Scaled
 
 
 class TestEval:
@@ -166,3 +166,27 @@ class TestBandExtrema:
         prof = Polynomial((0.0, 0.0, -1.0, 0.0, 0.5))  # -y^2 + y^4/2, min at y=+-1
         band = band_extrema(prof, 1.3)
         assert band.u0_min == pytest.approx(-0.5, abs=1e-10)
+
+    @pytest.mark.parametrize(
+        "prof,d",
+        [
+            (LinearProfile(2.0, 0.5), 1.3),
+            (LinearProfile(-1.5, 0.2), 1.3),
+            (ConcaveParabola(7.0, 1.0), 1.3),  # vertex 3.5 outside
+            (ConcaveParabola(-7.0, 0.0), 1.3),  # vertex -3.5 outside
+            (ConcaveParabola(1.0, 0.0), 1.3),  # vertex 0.5 inside
+            (CouettePoiseuille(1.5), 0.7),  # vertex 1.5 outside
+            (CouettePoiseuille(0.25), 1.0),  # vertex -1/6 inside
+            (Polynomial((0.1, 1.0, 0.2)), 1.3),  # vertex -2.5 outside
+            (Polynomial((0.0, -0.5, 0.4)), 1.3),  # vertex 0.625 inside
+        ],
+        ids=lambda v: v.spec() if hasattr(v, "spec") else str(v),
+    )
+    def test_degree_two_exact_matches_scan(self, prof, d):
+        exact = band_extrema(prof, d)
+        scan = band_extrema(_Scaled(prof, 1.0), d)  # not a Polynomial: dense scan
+        assert exact.u0_min == pytest.approx(scan.u0_min, abs=1e-10)
+        assert exact.u0_max == pytest.approx(scan.u0_max, abs=1e-10)
+        curvature = 2.0 * (prof.coeffs + (0.0,))[2]
+        assert exact.u0pp_min == exact.u0pp_max == curvature
+        assert (exact.monotone, exact.orientation) == (scan.monotone, scan.orientation)
