@@ -258,13 +258,14 @@ class RigidityVerdict:
         return asdict(self)
 
 
-def _directional_margin(f: np.ndarray, grid: Grid2D, eps_scale: float) -> float:
+def _directional_margin(grad: tuple, grid: Grid2D, eps_scale: float) -> float:
     """Uncertainty of extending nodal extrema of f to the continuum band.
 
-    Half-cell quantization per axis, weighted by the directional slopes, so
-    fields that vary only in y are not penalized for a coarse x spacing.
+    Half-cell quantization per axis, weighted by the directional slopes
+    grad = gradient(f, grid), so fields that vary only in y are not penalized
+    for a coarse x spacing.
     """
-    fx, fy = gradient(f, grid)
+    fx, fy = grad
     return (
         eps_scale
         * 0.5
@@ -282,11 +283,12 @@ def rigidity_predicates(field: WaveField, eps_scale: float = DEFAULT_EPS_SCALE) 
     grid = field.grid
     u, c, beta = field.u, field.c, field.beta
 
-    grad_mag = np.hypot(*gradient(u, grid))
+    grad_u = gradient(u, grid)
+    grad_mag = np.hypot(*grad_u)
     lap_u = laplacian(u, grid)
-    eps_c = _directional_margin(u, grid, eps_scale)
-    eps_g = _directional_margin(grad_mag, grid, eps_scale)
-    eps_q = _directional_margin(lap_u, grid, eps_scale)
+    eps_c = _directional_margin(grad_u, grid, eps_scale)
+    eps_g = _directional_margin(gradient(grad_mag, grid), grid, eps_scale)
+    eps_q = _directional_margin(gradient(lap_u, grid), grid, eps_scale)
 
     lap_int = lap_u[1:-1]
     lap_min = float(np.min(lap_int))

@@ -1,5 +1,12 @@
 """Command-line front end.
 
+Each subcommand handler takes the parsed arguments and returns
+(payload, text); `run` is the one place that writes.  The text is the
+default output (CSV for `curve`); `--json` writes the payload as a sorted
+JSON document with a `meta` block instead, and `-o` sends either to a file
+rather than stdout.  `example -o` streams the field file itself and returns
+nothing to write.
+
 Exit codes: 0 success, 1 scientific failure (domain violations, lost
 convergence, missing roots) with JSON error detail on stderr, 2 usage
 errors.  Output is fully deterministic: identical invocations produce
@@ -12,8 +19,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
-from typing import Optional
 
 from . import __version__
 from .channel import ChannelGeometry, Grid2D, diagnostics, field_to_dict, read_field, write_field
@@ -52,199 +57,108 @@ _USAGE_ERRORS = (ProfileSpecError, FieldFormatError)
 _SCIENCE_ERRORS = (DomainError, ConvergenceError, DivergenceError, NoRootError)
 
 
-@dataclass
-class RunConfig:
-    """One parsed invocation: the subcommand plus everything it needs."""
-
-    subcommand: str
-    mode: str = "text"  # text | json | csv
-    output: Optional[str] = None
-    tol: Optional[float] = None
-    params: dict = field(default_factory=dict)
-
-
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _emit(config: RunConfig, text: str) -> None:
-    if config.output:
-        with open(config.output, "w", encoding="ascii") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _band(args):
+    return band_extrema(parse_profile(args.profile), args.d)
 
 
-def _emit_json(config: RunConfig, payload: dict) -> None:
-    doc = {"meta": {"tool": "qgwave", "version": __version__}}
-    doc.update(payload)
-    _emit(config, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+def _band_payload(band, args, payload: dict) -> dict:
+    """payload plus the band's profile spec, half-width and the tolerance."""
+    payload.update(profile=band.profile.spec(), d=band.d, tol=args.tol)
+    return payload
 
 
-def _band_from(config: RunConfig):
-    profile = parse_profile(config.params["profile"])
-    d = config.params["d"]
-    return band_extrema(profile, d)
-
-
-def _cmd_eigen(config: RunConfig) -> int:
-    band = _band_from(config)
-    c_raw = config.params["c"]
-    c = band.u0_min if c_raw == "min" else float(c_raw)
-    res = principal_eigenvalue(band, config.params["beta"], c, tol=config.tol)
+def _cmd_eigen(args):
+    band = _band(args)
+    c = band.u0_min if args.c == "min" else float(args.c)
+    res = principal_eigenvalue(band, args.beta, c, tol=args.tol)
     payload = {
         "lambda1": res.lambda1,
         "n_used": res.n_used,
         "est_error": res.est_error,
-        "tol": config.tol,
-        "profile": band.profile.spec(),
-        "d": band.d,
-        "beta": config.params["beta"],
+        "beta": args.beta,
         "c": c,
         "singular": c == band.u0_min,
     }
-    if config.mode == "json":
-        _emit_json(config, payload)
-    else:
-        _emit(
-            config,
-            f"lambda1 = {_fmt(res.lambda1)}  (n_used={res.n_used}, "
-            f"est_error={_fmt(res.est_error)})\n",
-        )
-    return 0
+    text = (
+        f"lambda1 = {_fmt(res.lambda1)}  (n_used={res.n_used}, "
+        f"est_error={_fmt(res.est_error)})\n"
+    )
+    return _band_payload(band, args, payload), text
 
 
-def _cmd_critical_beta(config: RunConfig) -> int:
-    band = _band_from(config)
-    bc = critical_beta(band, tol=config.tol)
+def _cmd_critical_beta(args):
+    band = _band(args)
+    bc = critical_beta(band, tol=args.tol)
     # achieved error proxy: the eigenvalue left at the returned root,
     # resolved in the problem's natural units pi^2/(4 d^2)
     scale = (math.pi / (2.0 * band.d)) ** 2
     res = principal_eigenvalue(band, bc, band.u0_min, tol=1e-6 * scale, want_vector=False)
-    if config.mode == "json":
-        _emit_json(
-            config,
-            {
-                "beta_crit": bc,
-                "residual_lambda1": res.lambda1,
-                "tol": config.tol,
-                "profile": band.profile.spec(),
-                "d": band.d,
-            },
-        )
-    else:
-        _emit(config, f"beta_crit = {_fmt(bc)}  (residual lambda1 {_fmt(res.lambda1)})\n")
-    return 0
+    payload = {"beta_crit": bc, "residual_lambda1": res.lambda1}
+    text = f"beta_crit = {_fmt(bc)}  (residual lambda1 {_fmt(res.lambda1)})\n"
+    return _band_payload(band, args, payload), text
 
 
-def _cmd_inf_c(config: RunConfig) -> int:
-    band = _band_from(config)
-    inf_value, argmin_c = lambda_inf_over_c(band, config.params["beta"], tol=config.tol)
-    res = principal_eigenvalue(
-        band, config.params["beta"], argmin_c, tol=config.tol / 4.0, want_vector=False
+def _cmd_inf_c(args):
+    band = _band(args)
+    inf_value, argmin_c = lambda_inf_over_c(band, args.beta, tol=args.tol)
+    res = principal_eigenvalue(band, args.beta, argmin_c, tol=args.tol / 4.0, want_vector=False)
+    payload = {
+        "inf_lambda1": inf_value,
+        "argmin_c": argmin_c,
+        "est_error": res.est_error,
+        "beta": args.beta,
+    }
+    text = (
+        f"inf lambda1 = {_fmt(inf_value)} at c = {_fmt(argmin_c)} "
+        f"(est_error {_fmt(res.est_error)})\n"
     )
-    if config.mode == "json":
-        _emit_json(
-            config,
-            {
-                "inf_lambda1": inf_value,
-                "argmin_c": argmin_c,
-                "est_error": res.est_error,
-                "beta": config.params["beta"],
-                "tol": config.tol,
-                "profile": band.profile.spec(),
-                "d": band.d,
-            },
-        )
-    else:
-        _emit(
-            config,
-            f"inf lambda1 = {_fmt(inf_value)} at c = {_fmt(argmin_c)} "
-            f"(est_error {_fmt(res.est_error)})\n",
-        )
-    return 0
+    return _band_payload(band, args, payload), text
 
 
-def _cmd_root_c(config: RunConfig) -> int:
-    band = _band_from(config)
-    beta = config.params["beta"]
-    L = config.params["L"]
-    c_L = wave_speed_root(band, beta, L, tol=config.tol)
-    res = principal_eigenvalue(band, beta, c_L, tol=config.tol / 4.0, want_vector=False)
-    residual = res.lambda1 + (2.0 * math.pi / L) ** 2
-    if config.mode == "json":
-        _emit_json(
-            config,
-            {
-                "c_L": c_L,
-                "residual": residual,
-                "beta": beta,
-                "L": L,
-                "tol": config.tol,
-                "profile": band.profile.spec(),
-                "d": band.d,
-            },
-        )
-    else:
-        _emit(config, f"c_L = {_fmt(c_L)}  (residual {_fmt(residual)})\n")
-    return 0
+def _cmd_root_c(args):
+    band = _band(args)
+    c_L = wave_speed_root(band, args.beta, args.L, tol=args.tol)
+    res = principal_eigenvalue(band, args.beta, c_L, tol=args.tol / 4.0, want_vector=False)
+    residual = res.lambda1 + (2.0 * math.pi / args.L) ** 2
+    payload = {"c_L": c_L, "residual": residual, "beta": args.beta, "L": args.L}
+    text = f"c_L = {_fmt(c_L)}  (residual {_fmt(residual)})\n"
+    return _band_payload(band, args, payload), text
 
 
-def _cmd_curve(config: RunConfig) -> int:
-    band = _band_from(config)
-    points = boundary_curve(
-        band,
-        config.params["beta_min"],
-        config.params["beta_max"],
-        config.params["n"],
-        tol=config.tol,
+def _cmd_curve(args):
+    band = _band(args)
+    points = boundary_curve(band, args.beta_min, args.beta_max, args.n, tol=args.tol)
+    payload = {
+        "points": [
+            {"beta": p.beta, "lambda1": p.lambda1_at_u0min, "L_crit": p.L_crit, "error": p.error}
+            for p in points
+        ]
+    }
+    lines = ["beta,lambda1,L_crit"]
+    for p in points:
+        lam = "" if p.lambda1_at_u0min is None else _fmt(p.lambda1_at_u0min)
+        lc = "" if p.L_crit is None else _fmt(p.L_crit)
+        lines.append(f"{_fmt(p.beta)},{lam},{lc}")
+    return _band_payload(band, args, payload), "\n".join(lines) + "\n"
+
+
+def _cmd_classify(args):
+    report = classify(read_field(args.field), eps_scale=args.eps_scale)
+    cats = ", ".join(report.categories()) or "none"
+    text = (
+        f"genuine = {report.genuine} (max|v| = {_fmt(report.v_max)})\n"
+        f"categories: {cats}\n"
+        f"theorem_consistent = {report.theorem_consistent}\n"
     )
-    if config.mode == "json":
-        _emit_json(
-            config,
-            {
-                "points": [
-                    {
-                        "beta": p.beta,
-                        "lambda1": p.lambda1_at_u0min,
-                        "L_crit": p.L_crit,
-                        "error": p.error,
-                    }
-                    for p in points
-                ],
-                "profile": band.profile.spec(),
-                "d": band.d,
-                "tol": config.tol,
-            },
-        )
-    else:
-        lines = ["beta,lambda1,L_crit"]
-        for p in points:
-            lam = "" if p.lambda1_at_u0min is None else _fmt(p.lambda1_at_u0min)
-            lc = "" if p.L_crit is None else _fmt(p.L_crit)
-            lines.append(f"{_fmt(p.beta)},{lam},{lc}")
-        _emit(config, "\n".join(lines) + "\n")
-    return 0
+    return report.to_dict(), text
 
 
-def _cmd_classify(config: RunConfig) -> int:
-    wf = read_field(config.params["field"])
-    report = classify(wf, eps_scale=config.params["eps_scale"])
-    if config.mode == "json":
-        _emit_json(config, report.to_dict())
-    else:
-        cats = ", ".join(report.categories()) or "none"
-        _emit(
-            config,
-            f"genuine = {report.genuine} (max|v| = {_fmt(report.v_max)})\n"
-            f"categories: {cats}\n"
-            f"theorem_consistent = {report.theorem_consistent}\n",
-        )
-    return 0
-
-
-def _cmd_verify(config: RunConfig) -> int:
-    wf = read_field(config.params["field"])
+def _cmd_verify(args):
+    wf = read_field(args.field)
     diag = diagnostics(wf)
     payload = {
         "div_inf": diag.div_inf,
@@ -256,84 +170,64 @@ def _cmd_verify(config: RunConfig) -> int:
         "c": wf.c,
         "beta": wf.beta,
     }
-    if config.mode == "json":
-        _emit_json(config, payload)
-    else:
-        _emit(
-            config,
-            "".join(f"{k} = {_fmt(v)}\n" for k, v in payload.items()),
-        )
-    return 0
+    return payload, "".join(f"{k} = {_fmt(v)}\n" for k, v in payload.items())
 
 
-def _example_field(config: RunConfig):
-    name = config.params["name"]
-    nx, ny = config.params["nx"], config.params["ny"]
-    if name == "ex31":
+def _example_field(args):
+    nx, ny = args.nx, args.ny
+    if args.name == "ex31":
         grid = Grid2D(nx, ny, ChannelGeometry(2.0 * math.pi, -1.0, 1.0))
         p = Example31Params(
-            n=config.params["n"],
-            k=config.params["k"],
-            A=config.params["A"],
-            A_tilde=config.params["A_tilde"],
-            B=config.params["B"],
-            c=config.params["c"],
-            xi=config.params["xi"],
-            beta=config.params["beta"] if config.params["beta"] is not None else 1.0,
+            n=args.n,
+            k=args.k,
+            A=args.A,
+            A_tilde=args.A_tilde,
+            B=args.B,
+            c=args.c,
+            xi=args.xi,
+            beta=args.beta if args.beta is not None else 1.0,
         )
         return make_inflection_wave(p, grid)
-    if name == "ex32":
+    if args.name == "ex32":
         grid = Grid2D(nx, ny, ChannelGeometry(2.0 * math.pi, -1.0, 1.0))
-        mode = config.params["beta_mode"]
-        if mode == "beta0":
+        if args.beta_mode == "beta0":
             beta = MIN_CRITICAL_BETA0
-        elif mode == "2beta0":
+        elif args.beta_mode == "2beta0":
             beta = 2.0 * MIN_CRITICAL_BETA0
         else:
-            if config.params["beta"] is None:
+            if args.beta is None:
                 raise ProfileSpecError("ex32 needs --beta-mode beta0|2beta0 or an explicit --beta")
-            beta = config.params["beta"]
-        return make_min_critical_wave(beta, config.params["c"], grid)
-    if name == "ex33":
+            beta = args.beta
+        return make_min_critical_wave(beta, args.c, grid)
+    if args.name == "ex33":
         grid = Grid2D(nx, ny, ChannelGeometry(KOLMOGOROV_PERIOD, -math.pi, math.pi))
-        return make_kolmogorov_perturbed(config.params["eps"], grid)
-    if name == "grs":
-        grid = Grid2D(
-            nx, ny, ChannelGeometry(config.params["Lx"], -config.params["d"], config.params["d"])
-        )
-        p = GrsParams(config.params["a"], config.params["b"], config.params["k_exp"])
-        return make_grs_vortex(p, grid, config.params["clip_radius"])
-    raise ProfileSpecError(f"unknown example '{name}'")
+        return make_kolmogorov_perturbed(args.eps, grid)
+    if args.name == "grs":
+        grid = Grid2D(nx, ny, ChannelGeometry(args.Lx, -args.d, args.d))
+        return make_grs_vortex(GrsParams(args.a, args.b, args.k_exp), grid, args.clip_radius)
+    raise ProfileSpecError(f"unknown example '{args.name}'")
 
 
-def _cmd_example(config: RunConfig) -> int:
-    wf = _example_field(config)
-    if config.output:
-        write_field(wf, config.output)
-    else:
-        sys.stdout.write(json.dumps(field_to_dict(wf), sort_keys=True) + "\n")
-    return 0
+def _cmd_example(args):
+    wf = _example_field(args)
+    if args.output:
+        write_field(wf, args.output)  # streams the field; nothing left to emit
+        return None
+    return None, json.dumps(field_to_dict(wf), sort_keys=True) + "\n"
 
 
-def _cmd_planet(config: RunConfig) -> int:
-    case = config.params.get("case")
-    if case == "jupiter-band":
+def _cmd_planet(args):
+    if args.case == "jupiter-band":
         payload = jupiter_band_case()
-    elif case == "saturn-polar":
+    elif args.case == "saturn-polar":
         payload = saturn_polar_case()
     else:
-        name = config.params.get("name")
-        theta0 = config.params.get("theta0")
-        if name is None or theta0 is None:
+        if args.name is None or args.theta0 is None:
             raise ProfileSpecError("planet needs --case, or both --name and --theta0")
-        planet = PLANETS[name]
-        f0, beta = beta_plane_params(planet, theta0)
-        payload = {"planet": planet.to_dict(), "theta0_deg": theta0, "f0": f0, "beta": beta}
-    if config.mode == "json":
-        _emit_json(config, payload)
-    else:
-        _emit(config, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return 0
+        planet = PLANETS[args.name]
+        f0, beta = beta_plane_params(planet, args.theta0)
+        payload = {"planet": planet.to_dict(), "theta0_deg": args.theta0, "f0": f0, "beta": beta}
+    return payload, json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 _DISPATCH = {
@@ -349,12 +243,8 @@ _DISPATCH = {
 }
 
 
-def _add_output_flags(p, csv=False):
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--json", action="store_true", help="emit a JSON document")
-    group.add_argument("--text", action="store_true", help="emit plain text (default)")
-    if csv:
-        group.add_argument("--csv", action="store_true", help="emit CSV (default for curve)")
+def _add_output_flags(p):
+    p.add_argument("--json", action="store_true", help="emit a JSON document")
     p.add_argument("-o", "--output", help="write to this path instead of stdout")
 
 
@@ -403,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta-max", type=float, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--tol", type=float, default=DEFAULT_EIGEN_TOL)
-    _add_output_flags(p, csv=True)
+    _add_output_flags(p)
 
     p = sub.add_parser("classify", help="classify the wave speed of a field file")
     p.add_argument("--field", required=True, help="wave-field JSON file")
@@ -445,38 +335,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def parse_config(argv) -> RunConfig:
-    args = build_parser().parse_args(argv)
-    if getattr(args, "json", False):
-        mode = "json"
-    elif getattr(args, "text", False):
-        mode = "text"
-    elif args.subcommand == "curve":
-        mode = "csv"  # curve defaults to CSV
-    else:
-        mode = "text"
-
-    params = {
-        k: v
-        for k, v in vars(args).items()
-        if k not in {"subcommand", "json", "text", "csv", "output", "tol"}
-    }
-    tol = getattr(args, "tol", None)
-    if tol is not None and not tol > 0:
-        raise ProfileSpecError(f"--tol must be positive, got {tol}")
-    return RunConfig(
-        subcommand=args.subcommand,
-        mode=mode,
-        output=getattr(args, "output", None),
-        tol=tol,
-        params=params,
-    )
-
-
-def run(config: RunConfig) -> int:
-    handler = _DISPATCH[config.subcommand]
+def run(args) -> int:
+    """Run one parsed invocation and write its output: the one place that emits."""
     try:
-        return handler(config)
+        out = _DISPATCH[args.subcommand](args)
     except _USAGE_ERRORS as exc:
         sys.stderr.write(f"qgwave: {exc}\n")
         return 2
@@ -489,15 +351,27 @@ def run(config: RunConfig) -> int:
             detail["last_iterates"] = [list(t) for t in exc.last_iterates]
         sys.stderr.write(json.dumps(detail, sort_keys=True) + "\n")
         return 1
+    if out is None:
+        return 0
+    payload, text = out
+    if getattr(args, "json", False):
+        doc = {"meta": {"tool": "qgwave", "version": __version__}, **payload}
+        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    if args.output:
+        with open(args.output, "w", encoding="ascii") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+    return 0
 
 
 def main(argv=None) -> int:
-    try:
-        config = parse_config(argv)
-    except _USAGE_ERRORS as exc:
-        sys.stderr.write(f"qgwave: {exc}\n")
+    args = build_parser().parse_args(argv)
+    tol = getattr(args, "tol", None)
+    if tol is not None and not tol > 0:
+        sys.stderr.write(f"qgwave: --tol must be positive, got {tol}\n")
         return 2
-    return run(config)
+    return run(args)
 
 
 if __name__ == "__main__":

@@ -251,7 +251,11 @@ def critical_beta(band: ProfileOnBand, tol: float = DEFAULT_ROOT_TOL) -> float:
 def lambda_inf_over_c(band: ProfileOnBand, beta: float, tol: float = DEFAULT_EIGEN_TOL):
     """Minimize lambda1(beta, .) over wave speeds c in (-inf, u0_min].
 
-    Parameterized as c = u0_min - t with t on {0} union a geometric grid;
+    When beta >= max u0'' on the band, every diagonal entry
+    -(beta - u0'')/(u0 - c) of each rung's matrix is non-increasing in c, so
+    by Weyl's monotonicity each rung's lambda1 is too, and the infimum is
+    lambda1(beta, u0_min) after one solve.  Otherwise the search is
+    parameterized as c = u0_min - t with t on {0} union a geometric grid;
     sampling stops once lambda1 is within tol of the c -> -inf limit
     pi^2/(4 d^2), after which a golden-section pass refines around the best
     sample.  Returns (inf_value, argmin_c); the argmin is one minimizer, with
@@ -272,6 +276,8 @@ def lambda_inf_over_c(band: ProfileOnBand, beta: float, tol: float = DEFAULT_EIG
 
     ts = [0.0]
     vals = [lam_at_t(0.0)]
+    if beta >= band.u0pp_max:
+        return vals[0], band.u0_min
     t = 1e-4
     for _ in range(80):
         val = lam_at_t(t)

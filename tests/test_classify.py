@@ -192,7 +192,8 @@ class TestRigidityPredicates:
         assert gap.conclusion == "shear flow"
 
     def test_one_gradient_per_differentiated_field(self, monkeypatch):
-        # u itself, then one directional margin each for u, |grad u| and lap u
+        # u itself (its gradient also sets u's directional margin), then one
+        # each for the margins of |grad u| and lap u
         # (the package re-exports classify(), which shadows the module name)
         module = importlib.import_module("qgwave.classify")
         calls = []
@@ -204,7 +205,7 @@ class TestRigidityPredicates:
 
         monkeypatch.setattr(module, "gradient", counting)
         rigidity_predicates(make_inflection_wave(Example31Params(beta=1.0), channel_grid(128, 65)))
-        assert len(calls) == 4
+        assert len(calls) == 3
 
 
 class TestProfileRigidityBound:

@@ -131,6 +131,28 @@ class TestCurve:
         assert emitted == path.read_text()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("eigen", "--profile", "couette", "--d", "1", "--beta", "2", "--c", "min"),
+        ("critical-beta", "--profile", "couette", "--d", "1", "--json"),
+        (
+            "curve", "--profile", "couette", "--d", "1",
+            "--beta-min", "2", "--beta-max", "3", "--n", "2",
+        ),
+        ("planet", "--case", "saturn-polar"),
+    ],
+    ids=["eigen-text", "critical-beta-json", "curve-csv", "planet-text"],
+)
+def test_output_file_matches_stdout(capsys, tmp_path, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and out
+    path = tmp_path / "out"
+    code, out_o, _ = run_cli(capsys, *argv, "-o", str(path))
+    assert code == 0 and out_o == ""
+    assert path.read_bytes() == out.encode("ascii")
+
+
 class TestExamplePipeline:
     def test_example_then_classify(self, capsys, tmp_path):
         path = tmp_path / "ex32.json"

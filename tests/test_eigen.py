@@ -298,6 +298,29 @@ class TestInfOverC:
         if band.u0pp_max > beta:
             assert argmin_c < band.u0_min
 
+    @pytest.mark.parametrize(
+        "profile,d,beta",
+        [(couette(), 1.0, 5.0), (couette(), 1.0, 0.0), (Kolmogorov(), 1.2, 1.0)],
+        ids=["couette-beta5", "couette-beta0", "kolmogorov-beta1"],
+    )
+    def test_one_solve_when_beta_above_max_curvature(self, profile, d, beta, monkeypatch):
+        # beta >= max u0'': lambda1 is non-increasing in c, so the infimum is
+        # the endpoint value and no sampling is needed
+        band = band_extrema(profile, d)
+        assert beta >= band.u0pp_max
+        tol = 1e-6
+        end = principal_eigenvalue(band, beta, band.u0_min, tol=tol / 4, want_vector=False)
+        calls = []
+        real = qgwave.eigen.principal_eigenvalue
+
+        def counted(*args, **kwargs):
+            calls.append(args[2])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(qgwave.eigen, "principal_eigenvalue", counted)
+        assert lambda_inf_over_c(band, beta, tol=tol) == (end.lambda1, band.u0_min)
+        assert calls == [band.u0_min]
+
 
 class TestWaveSpeedRoot:
     def test_root_found_and_certified(self, couette_band):
