@@ -104,16 +104,15 @@ def _cmd_critical_beta(args):
 
 def _cmd_inf_c(args):
     band = _band(args)
-    inf_value, argmin_c = lambda_inf_over_c(band, args.beta, tol=args.tol)
-    res = principal_eigenvalue(band, args.beta, argmin_c, tol=args.tol / 4.0, want_vector=False)
+    res = lambda_inf_over_c(band, args.beta, tol=args.tol)
     payload = {
-        "inf_lambda1": inf_value,
-        "argmin_c": argmin_c,
+        "inf_lambda1": res.lambda1,
+        "argmin_c": res.c,
         "est_error": res.est_error,
         "beta": args.beta,
     }
     text = (
-        f"inf lambda1 = {_fmt(inf_value)} at c = {_fmt(argmin_c)} "
+        f"inf lambda1 = {_fmt(res.lambda1)} at c = {_fmt(res.c)} "
         f"(est_error {_fmt(res.est_error)})\n"
     )
     return _band_payload(band, args, payload), text
@@ -121,11 +120,10 @@ def _cmd_inf_c(args):
 
 def _cmd_root_c(args):
     band = _band(args)
-    c_L = wave_speed_root(band, args.beta, args.L, tol=args.tol)
-    res = principal_eigenvalue(band, args.beta, c_L, tol=args.tol / 4.0, want_vector=False)
+    res = wave_speed_root(band, args.beta, args.L, tol=args.tol)
     residual = res.lambda1 + (2.0 * math.pi / args.L) ** 2
-    payload = {"c_L": c_L, "residual": residual, "beta": args.beta, "L": args.L}
-    text = f"c_L = {_fmt(c_L)}  (residual {_fmt(residual)})\n"
+    payload = {"c_L": res.c, "residual": residual, "beta": args.beta, "L": args.L}
+    text = f"c_L = {_fmt(res.c)}  (residual {_fmt(residual)})\n"
     return _band_payload(band, args, payload), text
 
 

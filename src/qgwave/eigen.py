@@ -51,7 +51,6 @@ DEFAULT_EIGEN_TOL = 1e-6
 DEFAULT_ROOT_TOL = 1e-4
 _N_START = 256
 _N_MAX = 1 << 20
-_C_BRACKET_GROWTH = 4.0
 _BETA_MAX = 1e9
 
 
@@ -90,7 +89,7 @@ class EigenResult:
     wall values are zero).  history records (intervals, raw eigenvalue) for
     each rung of the refinement ladder.  lambda1 is the Richardson extrapolate
     of the last two rungs and est_error is its difference from the previous
-    rung's extrapolate.
+    rung's extrapolate.  beta and c are the parameters it was solved at.
     """
 
     lambda1: float
@@ -98,6 +97,8 @@ class EigenResult:
     n_used: int
     est_error: float
     history: tuple
+    beta: float
+    c: float
 
 
 def _rayleigh_quotient(vec, Vy, h):
@@ -150,7 +151,8 @@ def principal_eigenvalue(
     Raises DomainError for c > u0_min, UnsupportedSingularityError for a
     singular request on a non-monotone band, and ConvergenceError (carrying
     the last two iterates) if the ladder reaches n_max without
-    |E(2N) - E(N)| < tol.
+    |E(2N) - E(N)| < tol; its message gives the final N, the last raw ratio
+    of rung differences and the last |E(2N) - E(N)|.
     """
     if not (tol > 0):
         raise DomainError(f"tolerance must be positive, got {tol}")
@@ -169,11 +171,13 @@ def principal_eigenvalue(
     while True:
         n *= 2
         if n > n_max:
-            raise ConvergenceError(
-                f"eigenvalue ladder reached N={n // 2} without |E(2N)-E(N)| < {tol} "
-                "for the extrapolates E(2N) = (4*lambda(2N) - lambda(N))/3",
-                last_iterates=history[-2:],
-            )
+            msg = f"eigenvalue ladder reached N={n // 2} without |E(2N)-E(N)| < {tol}"
+            if len(history) >= 3:
+                (_, a), (_, b), (_, z) = history[-3:]
+                msg += (f"; last raw ratio (lambda(N/2)-lambda(N/4))/(lambda(N)-lambda(N/2)) = "
+                        f"{(b - a) / (z - b) if z != b else math.inf:.6g} (4 for h^2 "
+                        f"convergence), last |E(2N)-E(N)| = {diff:.3g}")
+            raise ConvergenceError(msg, last_iterates=history[-2:])
         lam, vec = _solve_rung(V, d, n)
         history.append((n, lam))
         ext = (4.0 * lam - lam_prev) / 3.0
@@ -189,24 +193,24 @@ def principal_eigenvalue(
         n_used=n - 1,
         est_error=diff,
         history=tuple(history),
+        beta=beta,
+        c=c,
     )
 
 
-def _eigen_slope_beta(band: ProfileOnBand, beta: float, tol: float) -> tuple:
-    """lambda1 and d(lambda1)/d(beta) at c = u0_min via the eigenvector.
+def _eigen_slopes(band: ProfileOnBand, res: EigenResult) -> tuple:
+    """(d(lambda1)/d(beta), d(lambda1)/d(c)) at (res.beta, res.c) by Hellmann-Feynman.
 
-    The potential depends on beta through -(beta - u0'')/(u0 - u0_min), so
-    d(lambda1)/d(beta) = -integral(phi^2 / (u0 - u0_min)), evaluated by the
-    trapezoid rule on the final grid.
+    The potential is -(beta - u0'')/(u0 - c), so the slopes are
+    -integral(phi^2 / (u0 - c)) and -integral((beta - u0'') phi^2 / (u0 - c)^2),
+    by the trapezoid rule over res.eigvec on its final grid.
     """
-    res = principal_eigenvalue(band, beta, band.u0_min, tol=tol, want_vector=True)
-    u = _oriented_profile(band, beta, band.u0_min)
-    d = band.d
-    n = res.n_used + 1
-    h = 2.0 * d / n
-    y = -d + h * np.arange(1, n)
-    slope = -h * float(np.sum(res.eigvec**2 / (u(y)[0] - band.u0_min)))
-    return res.lambda1, slope
+    u = _oriented_profile(band, res.beta, res.c)
+    h = 2.0 * band.d / (res.n_used + 1)
+    y = -band.d + h * np.arange(1, res.n_used + 1)
+    u0, _, u0pp = u(y)
+    w = res.eigvec**2 / (u0 - res.c)
+    return -h * float(np.sum(w)), -h * float(np.sum((res.beta - u0pp) * w / (u0 - res.c)))
 
 
 def critical_beta(band: ProfileOnBand, tol: float = DEFAULT_ROOT_TOL) -> float:
@@ -218,7 +222,7 @@ def critical_beta(band: ProfileOnBand, tol: float = DEFAULT_ROOT_TOL) -> float:
     lambda1(0, u0_min) > 0 for a monotone profile.  Newton's tangent then lies
     above the curve, so the first step from beta = 0 lands on or right of the
     root and the iterates decrease monotonically onto it with no bracket.  The
-    slope is the Hellmann-Feynman derivative from _eigen_slope_beta, and the
+    slope is the Hellmann-Feynman derivative from _eigen_slopes, and the
     inner eigenvalue tolerance follows it so each step resolves the root to
     the requested beta tolerance at every band scale.
     """
@@ -230,7 +234,8 @@ def critical_beta(band: ProfileOnBand, tol: float = DEFAULT_ROOT_TOL) -> float:
     scale = math.pi**2 / (4.0 * band.d * band.d)
     coarse = 1e-4 * scale
 
-    lam, slope = _eigen_slope_beta(band, 0.0, coarse)
+    res = principal_eigenvalue(band, 0.0, band.u0_min, tol=coarse)
+    lam, slope = res.lambda1, _eigen_slopes(band, res)[0]
     if lam <= 0.0:
         raise ConvergenceError(
             f"lambda1(0, u0_min) = {lam} <= 0; expected positive for a monotone profile"
@@ -244,7 +249,8 @@ def critical_beta(band: ProfileOnBand, tol: float = DEFAULT_ROOT_TOL) -> float:
         if abs(step) < 0.5 * tol:
             return beta
         inner = min(coarse, max(abs(slope) * tol / 8.0, 1e-13 * scale))
-        lam, slope = _eigen_slope_beta(band, beta, inner)
+        res = principal_eigenvalue(band, beta, band.u0_min, tol=inner)
+        lam, slope = res.lambda1, _eigen_slopes(band, res)[0]
     raise ConvergenceError(f"Newton iteration for beta_crit did not reach {tol} in 100 steps")
 
 
@@ -258,8 +264,8 @@ def lambda_inf_over_c(band: ProfileOnBand, beta: float, tol: float = DEFAULT_EIG
     parameterized as c = u0_min - t with t on {0} union a geometric grid;
     sampling stops once lambda1 is within tol of the c -> -inf limit
     pi^2/(4 d^2), after which a golden-section pass refines around the best
-    sample.  Returns (inf_value, argmin_c); the argmin is one minimizer, with
-    no uniqueness claim.
+    sample.  Returns the solve (at tol/4) at the minimizer: lambda1 is the
+    infimum and c one minimizer, with no uniqueness claim.
     """
     if not band.monotone:
         raise DomainError("lambda_inf_over_c needs a monotone profile on the band")
@@ -268,16 +274,16 @@ def lambda_inf_over_c(band: ProfileOnBand, beta: float, tol: float = DEFAULT_EIG
 
     inner = tol / 4.0
     limit = math.pi**2 / (4.0 * band.d * band.d)
+    solved = {}
 
     def lam_at_t(t):
-        return principal_eigenvalue(
-            band, beta, band.u0_min - t, tol=inner, want_vector=False
-        ).lambda1
+        solved[t] = principal_eigenvalue(band, beta, band.u0_min - t, tol=inner, want_vector=False)
+        return solved[t].lambda1
 
     ts = [0.0]
     vals = [lam_at_t(0.0)]
     if beta >= band.u0pp_max:
-        return vals[0], band.u0_min
+        return solved[0.0]
     t = 1e-4
     for _ in range(80):
         val = lam_at_t(t)
@@ -295,21 +301,22 @@ def lambda_inf_over_c(band: ProfileOnBand, beta: float, tol: float = DEFAULT_EIG
         xtol = max(1e-6 * (1.0 + best_t), 1e-3 * (t_hi - t_lo))
         g_t, g_val = golden_min(lam_at_t, t_lo, t_hi, xtol)
         if g_val < best_val:
-            best_t, best_val = g_t, g_val
-    return best_val, band.u0_min - best_t
+            best_t = g_t
+    return solved[best_t]
 
 
-def wave_speed_root(
-    band: ProfileOnBand, beta: float, L: float, tol: float = DEFAULT_ROOT_TOL
-) -> float:
-    """Wave speed c_L < u0_min with lambda1(beta, c_L) = -(2 pi / L)^2.
+def wave_speed_root(band: ProfileOnBand, beta: float, L: float, tol: float = DEFAULT_ROOT_TOL):
+    """Solve at the wave speed c_L < u0_min with lambda1(beta, c_L) = -(2 pi / L)^2.
 
     Needs lambda1(beta, u0_min) < -(2 pi / L)^2, otherwise no root is
-    guaranteed and NoRootError reports both values.  The far bracket is
-    expanded geometrically (the c -> -inf limit pi^2/(4 d^2) is positive, so
-    the expansion terminates), then bisection runs until the eigenvalue
-    residual meets tol.  If the endpoint eigenvalue equals the target within
-    tol, u0_min itself is returned, consistent with the c -> u0_min limit.
+    guaranteed and NoRootError reports both values; if the two agree within
+    tol, the solve at u0_min is returned.  Otherwise one safeguarded Newton
+    loop (rtsafe, Numerical Recipes 9.4) on f = lambda1 - target with the
+    slope d(lambda1)/d(c) from _eigen_slopes starts at u0_min.  An iterate
+    with f < 0 moves the near end, one with f > 0 sets the far end, and a
+    step out of the known interval becomes a bisection once a far end
+    exists, else a point 4x farther from u0_min (1 below it at first).  Each
+    solve is at tol/4; the one with |f| <= 0.75 tol is returned.
     """
     if not band.monotone:
         raise DomainError("wave_speed_root needs a monotone profile on the band")
@@ -319,45 +326,34 @@ def wave_speed_root(
         raise DomainError(f"tolerance must be positive, got {tol}")
 
     target = -((2.0 * math.pi / L) ** 2)
-    inner = tol / 4.0
-
-    def lam(c_val):
-        return principal_eigenvalue(band, beta, c_val, tol=inner, want_vector=False).lambda1
-
-    lam_end = lam(band.u0_min)
-    if lam_end >= target:
-        if abs(lam_end - target) < tol:
-            return band.u0_min
+    res = principal_eigenvalue(band, beta, band.u0_min, tol=tol / 4.0)
+    f = res.lambda1 - target
+    if f >= 0.0:
+        if f < tol:
+            return res
         raise NoRootError(
-            f"lambda1(beta, u0_min) = {lam_end} does not reach the target {target}; "
+            f"lambda1(beta, u0_min) = {res.lambda1} does not reach the target {target}; "
             "no wave-speed root is guaranteed",
-            lambda_end=lam_end,
+            lambda_end=res.lambda1,
             target=target,
         )
 
-    t = 1.0
-    c_far = band.u0_min - t
-    f_far = lam(c_far) - target
-    while f_far <= 0.0:
-        t *= _C_BRACKET_GROWTH
-        if t > 1e12:
-            raise DivergenceError("wave-speed bracket expansion exceeded 1e12")
-        c_far = band.u0_min - t
-        f_far = lam(c_far) - target
-
-    c_lo, c_hi = c_far, band.u0_min  # f(c_lo) > 0 > f(c_hi)
+    # t = u0_min - c; f(t_near) < 0 < f(t_far), with t_far = inf until found
+    t = t_near = 0.0
+    t_far = math.inf
     for _ in range(200):
-        mid = 0.5 * (c_lo + c_hi)
-        f_mid = lam(mid) - target
-        if abs(f_mid) <= 0.75 * tol:
-            return mid
-        if f_mid > 0.0:
-            c_lo = mid
-        else:
-            c_hi = mid
-    raise ConvergenceError(
-        f"wave-speed bisection did not reach residual {tol} in 200 steps"
-    )
+        df_dt = -_eigen_slopes(band, res)[1]
+        t = t - f / df_dt if df_dt > 0.0 else t_near  # wrong-sign slope: safeguard
+        if not (t_near < t < t_far):
+            t = 0.5 * (t_near + t_far) if t_far < math.inf else max(4.0 * t_near, 1.0)
+        if t > 1e12:
+            raise DivergenceError("wave-speed search passed t = u0_min - c = 1e12")
+        res = principal_eigenvalue(band, beta, band.u0_min - t, tol=tol / 4.0)
+        f = res.lambda1 - target
+        if abs(f) <= 0.75 * tol:
+            return res
+        t_near, t_far = (t, t_far) if f < 0.0 else (t_near, t)
+    raise ConvergenceError(f"wave-speed Newton iteration did not reach residual {tol} in 200 steps")
 
 
 @dataclass(frozen=True)

@@ -304,7 +304,7 @@ def test_criterion_11_infimum_matches_dense_scan():
     ]
     worst = 0.0
     for band, beta in cases:
-        inf_val, _ = lambda_inf_over_c(band, beta, tol=tol)
+        inf_val = lambda_inf_over_c(band, beta, tol=tol).lambda1
         cs = np.linspace(band.u0_min - 100.0, band.u0_min, 2000)
         scan = min(
             principal_eigenvalue(band, beta, float(c), tol=tol, want_vector=False).lambda1

@@ -6,6 +6,7 @@ import math
 import pytest
 
 import qgwave.cli
+import qgwave.eigen
 from qgwave.cli import main
 from qgwave.flows import MIN_CRITICAL_BETA0
 
@@ -247,6 +248,44 @@ class TestRootAndInf:
         doc = json.loads(out)
         assert doc["inf_lambda1"] == pytest.approx(math.pi**2 / 4.0, abs=1e-5)
         assert doc["est_error"] <= doc["tol"] / 4.0
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        """Every principal_eigenvalue call, whichever module makes it."""
+        calls = []
+        solve = qgwave.eigen.principal_eigenvalue
+
+        def counted(*args, **kwargs):
+            calls.append(args[1:3])
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(qgwave.eigen, "principal_eigenvalue", counted)
+        monkeypatch.setattr(qgwave.cli, "principal_eigenvalue", counted)
+        return calls
+
+    def test_inf_c_prints_the_finders_solve(self, capsys, solves):
+        # beta >= max u0'': the finder's one solve at u0_min is also the one printed
+        code, out, _ = run_cli(capsys, "inf-c", "--profile", "couette", "--d", "1", "--beta", "5")
+        assert code == 0
+        assert solves == [(5.0, -1.0)]
+
+    def test_root_c_prints_the_finders_last_solve(self, capsys, monkeypatch, solves):
+        finder_calls = []
+        finder = qgwave.cli.wave_speed_root
+
+        def recorded(*args, **kwargs):
+            res = finder(*args, **kwargs)
+            finder_calls.append(len(solves))
+            return res
+
+        monkeypatch.setattr(qgwave.cli, "wave_speed_root", recorded)
+        code, out, _ = run_cli(
+            capsys,
+            "root-c", "--profile", "couette", "--d", "1", "--beta", "10", "--L", "4",
+        )
+        assert code == 0
+        assert finder_calls == [len(solves)]
+        assert f"c_L = {solves[-1][1]:.17g} " in out
 
 
 class TestPlanet:

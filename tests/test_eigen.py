@@ -11,6 +11,7 @@ the finite-difference path:
   eigenvalue exactly -1/4.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -21,6 +22,7 @@ import qgwave.eigen
 from qgwave import (
     ConcaveParabola,
     ConvergenceError,
+    DivergenceError,
     DomainError,
     LinearProfile,
     NoRootError,
@@ -111,6 +113,19 @@ class TestPrincipalEigenvalue:
         with pytest.raises(ConvergenceError) as err:
             principal_eigenvalue(couette_band, 1.0, -1.0, tol=1e-16, n_max=1024)
         assert len(err.value.last_iterates) == 2
+
+    def test_ladder_failure_message_states_ratio(self, couette_band):
+        # the ladder stops at n_max = 2^14; its last three rungs, re-solved
+        # on their own, give the raw ratio and the last extrapolate difference
+        beta, c = 30.0, couette_band.u0_min - 1e-6
+        with pytest.raises(ConvergenceError) as err:
+            principal_eigenvalue(couette_band, beta, c, tol=1e-8, n_max=2**14)
+        rungs = principal_eigenvalue(couette_band, beta, c, tol=math.inf, n_start=2**12)
+        (_, a), (_, b), (_, z) = rungs.history
+        msg = str(err.value)
+        assert "N=16384" in msg
+        assert f"{(b - a) / (z - b):.6g}" in msg
+        assert f"{rungs.est_error:.3g}" in msg
 
     def test_eigvec_positive_normalized(self, couette_band):
         res = principal_eigenvalue(couette_band, 1.0, -1.0)
@@ -265,12 +280,12 @@ class TestCriticalBeta:
 class TestInfOverC:
     def test_endpoint_bound(self, couette_band):
         tol = 1e-6
-        inf_val, _ = lambda_inf_over_c(couette_band, 1.0, tol=tol)
+        inf_val = lambda_inf_over_c(couette_band, 1.0, tol=tol).lambda1
         end = principal_eigenvalue(couette_band, 1.0, -1.0, tol=tol, want_vector=False).lambda1
         assert inf_val <= end + 5 * tol
 
     def test_flat_curve_at_beta_zero(self, couette_band):
-        inf_val, _ = lambda_inf_over_c(couette_band, 0.0, tol=1e-6)
+        inf_val = lambda_inf_over_c(couette_band, 0.0, tol=1e-6).lambda1
         assert inf_val == pytest.approx(math.pi**2 / 4.0, abs=1e-5)
 
     @pytest.mark.parametrize(
@@ -288,7 +303,8 @@ class TestInfOverC:
     def test_matches_dense_scan(self, profile, d, beta, span):
         band = band_extrema(profile, d)
         tol = 1e-6
-        inf_val, argmin_c = lambda_inf_over_c(band, beta, tol=tol)
+        res = lambda_inf_over_c(band, beta, tol=tol)
+        inf_val, argmin_c = res.lambda1, res.c
         cs = np.linspace(band.u0_min - span, band.u0_min, 400)
         scan = min(
             principal_eigenvalue(band, beta, float(c), tol=tol, want_vector=False).lambda1
@@ -318,7 +334,8 @@ class TestInfOverC:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(qgwave.eigen, "principal_eigenvalue", counted)
-        assert lambda_inf_over_c(band, beta, tol=tol) == (end.lambda1, band.u0_min)
+        res = lambda_inf_over_c(band, beta, tol=tol)
+        assert (res.lambda1, res.c) == (end.lambda1, band.u0_min)
         assert calls == [band.u0_min]
 
 
@@ -328,7 +345,7 @@ class TestWaveSpeedRoot:
         lam_end = principal_eigenvalue(couette_band, beta, -1.0, want_vector=False).lambda1
         assert lam_end < 0.0
         L = 1.2 * 2.0 * math.pi / math.sqrt(-lam_end)
-        c_L = wave_speed_root(couette_band, beta, L, tol=tol)
+        c_L = wave_speed_root(couette_band, beta, L, tol=tol).c
         assert c_L < -1.0
         lam = principal_eigenvalue(couette_band, beta, c_L, tol=tol / 4, want_vector=False).lambda1
         assert abs(lam + (2 * math.pi / L) ** 2) < tol
@@ -344,8 +361,89 @@ class TestWaveSpeedRoot:
             couette_band, beta, -1.0, tol=1e-8, want_vector=False
         ).lambda1
         L = 2.0 * math.pi / math.sqrt(-lam_end)
-        c_L = wave_speed_root(couette_band, beta, L, tol=1e-4)
+        c_L = wave_speed_root(couette_band, beta, L, tol=1e-4).c
         assert c_L == pytest.approx(-1.0, abs=1e-6)
+
+    @pytest.mark.parametrize("tol", [1e-4, 1e-6, 1e-8])
+    def test_newton_few_solves_within_tol(self, couette_band, monkeypatch, tol):
+        calls = []
+        solve = qgwave.eigen.principal_eigenvalue
+
+        def counted(*args, **kwargs):
+            calls.append(args[2])
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(qgwave.eigen, "principal_eigenvalue", counted)
+        res = wave_speed_root(couette_band, 10.0, 4.0, tol=tol)
+        assert abs(res.lambda1 + (2 * math.pi / 4.0) ** 2) <= tol
+        assert res.c == calls[-1] < -1.0
+        assert len(calls) <= 10
+
+    @pytest.mark.parametrize(
+        "L,c_bisect",
+        [(2.0, -0.5119918823242187), (4.0, -0.7206939697265624), (10.0, -1.00308837890625)],
+    )
+    def test_matches_bisection_without_concavity(self, L, c_bisect):
+        # beta = 4.268 < max u0'' = 4.4, so lambda1 need not be concave in c;
+        # c_bisect is the root of bracket expansion and bisection at tol 1e-4
+        band = band_extrema(Polynomial([0.0, 1.0, 1.0, 0.4]), 1.0)
+        assert band.u0pp_max > 4.268
+        res = wave_speed_root(band, 4.268, L, tol=1e-4)
+        assert abs(res.lambda1 + (2 * math.pi / L) ** 2) <= 1e-4
+        assert res.c == pytest.approx(c_bisect, abs=1e-3)
+
+    @pytest.mark.parametrize(
+        "slope",
+        [
+            # a zero or wrong-sign slope: 4x steps from u0_min (1, 4) until
+            # the far end is set, then bisection
+            lambda true_slope: 0.0,
+            lambda true_slope: -true_slope,
+            # a slope 5x too shallow: Newton steps overshoot the root, which
+            # sets the far end, later ones leave the interval (bisection) or
+            # land inside it from the far side
+            lambda true_slope: 0.2 * true_slope,
+        ],
+        ids=["zero", "wrong-sign", "shallow"],
+    )
+    def test_safeguards_still_find_root(self, couette_band, monkeypatch, slope):
+        tol = 1e-6
+        ref = wave_speed_root(couette_band, 10.0, 4.0, tol=tol)
+        slopes = qgwave.eigen._eigen_slopes
+        calls = []
+        solve = qgwave.eigen.principal_eigenvalue
+
+        def counted(*args, **kwargs):
+            res = solve(*args, **kwargs)
+            calls.append(res.lambda1 + (2 * math.pi / 4.0) ** 2)
+            return res
+
+        def patched(band, res):
+            d_beta, d_c = slopes(band, res)
+            return d_beta, slope(d_c)
+
+        monkeypatch.setattr(qgwave.eigen, "_eigen_slopes", patched)
+        monkeypatch.setattr(qgwave.eigen, "principal_eigenvalue", counted)
+        res = wave_speed_root(couette_band, 10.0, 4.0, tol=tol)
+        assert abs(res.lambda1 + (2 * math.pi / 4.0) ** 2) <= 0.75 * tol
+        assert res.c == pytest.approx(ref.c, abs=1e-6)
+        assert max(calls) > 0.0  # some iterate passed the root: a far end was set
+
+    def test_search_past_bound_raises(self, couette_band, monkeypatch):
+        # a target no wave speed reaches, with no usable slope: the 4x steps
+        # from u0_min pass t = 1e12 and raise
+        end = principal_eigenvalue(couette_band, 10.0, -1.0)
+        calls = []
+
+        def never_reaches(band, beta, c, **kwargs):
+            calls.append(c)
+            return dataclasses.replace(end, lambda1=-1e6, c=c)
+
+        monkeypatch.setattr(qgwave.eigen, "principal_eigenvalue", never_reaches)
+        monkeypatch.setattr(qgwave.eigen, "_eigen_slopes", lambda band, res: (0.0, 0.0))
+        with pytest.raises(DivergenceError):
+            wave_speed_root(couette_band, 10.0, 4.0)
+        assert calls[1:3] == [-2.0, -5.0]
 
 
 class TestBoundaryCurve:
