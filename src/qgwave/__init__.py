@@ -4,149 +4,47 @@ Computes principal eigenvalues of the (singular) Rayleigh-Kuo boundary-value
 problem, the transitional beta value and critical wavelengths that separate
 rigidity from existence of nearby genuine traveling waves, and classifies
 the wave speed of gridded traveling-wave fields.
+
+`import qgwave` binds only `classify` eagerly; every other public name
+imports its submodule on first access (PEP 562), so only the eigen solvers
+pull in scipy.
 """
+
+from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
-from .channel import (
-    ChannelGeometry,
-    FieldDiagnostics,
-    Grid2D,
-    WaveField,
-    diagnostics,
-    field_from_dict,
-    field_to_dict,
-    gradient,
-    laplacian,
-    read_field,
-    write_field,
-)
-from .classify import (
-    ClassificationReport,
-    RigidityVerdict,
-    c_beta_plus,
-    classify,
-    profile_rigidity_bound,
-    rigidity_predicates,
-)
-from .eigen import (
-    CurvePoint,
-    EigenResult,
-    boundary_curve,
-    critical_beta,
-    lambda_inf_over_c,
-    principal_eigenvalue,
-    scaling_check,
-    wave_speed_root,
-)
-from .errors import (
-    ConvergenceError,
-    DivergenceError,
-    DomainError,
-    FieldFormatError,
-    NoRootError,
-    ProfileSpecError,
-    QgwaveError,
-    ShapeError,
-    UnsupportedSingularityError,
-)
-from .flows import (
-    KOLMOGOROV_PERIOD,
-    MIN_CRITICAL_BETA0,
-    Example31Params,
-    GrsParams,
-    make_grs_vortex,
-    make_inflection_wave,
-    make_kolmogorov_perturbed,
-    make_min_critical_wave,
-)
-from .planets import (
-    JUPITER,
-    PLANETS,
-    SATURN,
-    BandSpec,
-    PlanetData,
-    band_halfwidth,
-    beta_plane_params,
-    jupiter_band_case,
-    saturn_polar_case,
-)
-from .profiles import (
-    Bickley,
-    ConcaveParabola,
-    CouettePoiseuille,
-    Kolmogorov,
-    LinearProfile,
-    Polynomial,
-    ProfileOnBand,
-    ShearProfile,
-    band_extrema,
-    couette,
-    parse_profile,
-)
+# The function shares its name with its submodule.  Once `qgwave.classify` is
+# imported, the import system sets that package attribute to the module and
+# __getattr__ is never consulted, so the function is bound here.  This loads
+# numpy but not scipy.
+from .classify import classify
 
-__all__ = [
-    "__version__",
-    "ChannelGeometry",
-    "Grid2D",
-    "WaveField",
-    "FieldDiagnostics",
-    "gradient",
-    "laplacian",
-    "diagnostics",
-    "field_to_dict",
-    "field_from_dict",
-    "read_field",
-    "write_field",
-    "ShearProfile",
-    "LinearProfile",
-    "ConcaveParabola",
-    "CouettePoiseuille",
-    "Bickley",
-    "Kolmogorov",
-    "Polynomial",
-    "ProfileOnBand",
-    "couette",
-    "band_extrema",
-    "parse_profile",
-    "EigenResult",
-    "CurvePoint",
-    "principal_eigenvalue",
-    "critical_beta",
-    "lambda_inf_over_c",
-    "wave_speed_root",
-    "boundary_curve",
-    "scaling_check",
-    "ClassificationReport",
-    "RigidityVerdict",
-    "c_beta_plus",
-    "classify",
-    "rigidity_predicates",
-    "profile_rigidity_bound",
-    "Example31Params",
-    "GrsParams",
-    "MIN_CRITICAL_BETA0",
-    "KOLMOGOROV_PERIOD",
-    "make_inflection_wave",
-    "make_min_critical_wave",
-    "make_kolmogorov_perturbed",
-    "make_grs_vortex",
-    "PlanetData",
-    "BandSpec",
-    "JUPITER",
-    "SATURN",
-    "PLANETS",
-    "beta_plane_params",
-    "band_halfwidth",
-    "jupiter_band_case",
-    "saturn_polar_case",
-    "QgwaveError",
-    "ShapeError",
-    "DomainError",
-    "ProfileSpecError",
-    "FieldFormatError",
-    "UnsupportedSingularityError",
-    "ConvergenceError",
-    "DivergenceError",
-    "NoRootError",
-]
+_EXPORTS = {
+    "channel": "ChannelGeometry FieldDiagnostics Grid2D WaveField diagnostics field_from_dict "
+    "field_to_dict gradient laplacian read_field write_field",
+    "classify": "ClassificationReport RigidityVerdict c_beta_plus classify "
+    "profile_rigidity_bound rigidity_predicates",
+    "eigen": "CurvePoint EigenResult boundary_curve critical_beta lambda_inf_over_c "
+    "principal_eigenvalue scaling_check wave_speed_root",
+    "errors": "ConvergenceError DivergenceError DomainError FieldFormatError NoRootError "
+    "ProfileSpecError QgwaveError ShapeError UnsupportedSingularityError",
+    "flows": "KOLMOGOROV_PERIOD MIN_CRITICAL_BETA0 Example31Params GrsParams make_grs_vortex "
+    "make_inflection_wave make_kolmogorov_perturbed make_min_critical_wave",
+    "planets": "JUPITER PLANETS SATURN PlanetData band_halfwidth beta_plane_params "
+    "jupiter_band_case saturn_polar_case",
+    "profiles": "Bickley ConcaveParabola CouettePoiseuille Kolmogorov LinearProfile Polynomial "
+    "ProfileOnBand ShearProfile band_extrema couette parse_profile",
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+__all__ = ["__version__", *_MODULE_OF]
+
+
+def __getattr__(name):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(_import_module(f".{_MODULE_OF[name]}", __name__), name)
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

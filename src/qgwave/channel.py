@@ -41,15 +41,6 @@ class ChannelGeometry:
     def width(self) -> float:
         return self.d_plus - self.d_minus
 
-    @property
-    def half_width(self) -> float:
-        return 0.5 * (self.d_plus - self.d_minus)
-
-    def centered(self) -> "ChannelGeometry":
-        """Translate the band so it becomes [-d, d] with d the half width."""
-        d = self.half_width
-        return ChannelGeometry(self.L, -d, d)
-
 
 @dataclass(frozen=True)
 class Grid2D:
@@ -118,8 +109,6 @@ def gradient(field, grid: Grid2D):
 def laplacian(field, grid: Grid2D) -> np.ndarray:
     """Five-point Laplacian, periodic in x, one-sided second-order at y walls."""
     f = _as_field(field, grid)
-    if grid.ny < 5:
-        raise DomainError("laplacian needs ny >= 5")
     hx, hy = grid.hx, grid.hy
 
     fxx = (np.roll(f, -1, axis=1) - 2.0 * f + np.roll(f, 1, axis=1)) / (hx * hx)
@@ -136,8 +125,7 @@ class WaveField:
     """Gridded traveling wave: velocities (u, v), wave speed c, Coriolis gradient beta.
 
     The frame moves with the wave, so u and v are functions of (x - c t, y)
-    sampled at t = 0.  Fields are immutable after construction; meta is an
-    optional constructor-provided annotation that is never serialized.
+    sampled at t = 0.  Fields are immutable after construction.
     """
 
     grid: Grid2D
@@ -145,7 +133,6 @@ class WaveField:
     v: np.ndarray
     c: float
     beta: float
-    meta: dict | None = None
 
     def __post_init__(self):
         u = _as_field(self.u, self.grid)

@@ -22,7 +22,7 @@ import sys
 
 from . import __version__
 from .channel import ChannelGeometry, Grid2D, diagnostics, field_to_dict, read_field, write_field
-from .classify import classify
+from .classify import DEFAULT_EPS_SCALE, classify
 from .eigen import (
     DEFAULT_EIGEN_TOL,
     DEFAULT_ROOT_TOL,
@@ -295,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="classify the wave speed of a field file")
     p.add_argument("--field", required=True, help="wave-field JSON file")
-    p.add_argument("--eps-scale", type=float, default=2.0)
+    p.add_argument("--eps-scale", type=float, default=DEFAULT_EPS_SCALE)
     _add_output_flags(p)
 
     p = sub.add_parser("verify", help="residuals of the governing equations for a field file")

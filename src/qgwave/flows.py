@@ -81,7 +81,7 @@ def make_inflection_wave(p: Example31Params, grid: Grid2D) -> WaveField:
         - p.beta / lam
     )
     v = p.A * np.cos(mu * Y) * np.cos(p.n * X)
-    return WaveField(grid, u, v, p.c, p.beta, meta={"lambda": lam})
+    return WaveField(grid, u, v, p.c, p.beta)
 
 
 def make_min_critical_wave(beta: float, c: float, grid: Grid2D) -> WaveField:
@@ -99,7 +99,7 @@ def make_min_critical_wave(beta: float, c: float, grid: Grid2D) -> WaveField:
     shift = beta / (0.25 * math.pi**2 + 1.0)
     u = c + shift + (math.pi / 2.0) * np.cos(X) * np.sin(math.pi * Y / 2.0)
     v = -np.sin(X) * np.cos(math.pi * Y / 2.0)
-    return WaveField(grid, u, v, c, beta, meta={"beta0": MIN_CRITICAL_BETA0})
+    return WaveField(grid, u, v, c, beta)
 
 
 #: geometry of the perturbed-Kolmogorov steady flow: zonal period 4 pi / sqrt(3).
@@ -170,8 +170,7 @@ def make_grs_vortex(p: GrsParams, grid: Grid2D, clip_radius: float) -> WaveField
     r = np.hypot(Xd, Y)
 
     inside = r < clip_radius
-    arg = np.where(inside, p.a**2 - p.b**2 * np.power(r, p.k), p.a**2)
-    mu = np.where(inside, p.a - np.sqrt(arg), 0.0)
+    mu = np.where(inside, p.mu(np.where(inside, r, 0.0)), 0.0)
 
     taper_start = 0.9 * clip_radius
     ramp = np.clip((r - taper_start) / (0.1 * clip_radius), 0.0, 1.0)

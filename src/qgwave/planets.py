@@ -42,20 +42,6 @@ SATURN = PlanetData("saturn", 58232e3, 1.62e-4, 150.0)
 PLANETS = {"jupiter": JUPITER, "saturn": SATURN}
 
 
-@dataclass(frozen=True)
-class BandSpec:
-    """Reference latitude (degrees) and latitudinal band width (degrees)."""
-
-    theta0: float
-    band_degrees: float
-
-    def __post_init__(self):
-        if not abs(self.theta0) < 90.0:
-            raise DomainError(f"reference latitude must satisfy |theta0| < 90, got {self.theta0}")
-        if not self.band_degrees > 0:
-            raise DomainError(f"band width must be positive, got {self.band_degrees}")
-
-
 def beta_plane_params(planet: PlanetData, theta0_deg: float):
     """Nondimensional (f0, beta) at the reference latitude theta0 (degrees)."""
     if not abs(theta0_deg) < 90.0:

@@ -226,8 +226,7 @@ class ProfileOnBand:
     """A profile restricted to [-d, d] with certified extrema.
 
     orientation is 'increasing' or 'decreasing' when u0' keeps a strict sign
-    on the whole band, else 'none'; monotone is True exactly in the first two
-    cases.
+    on the whole band, else 'none'.
     """
 
     profile: ShearProfile
@@ -236,8 +235,11 @@ class ProfileOnBand:
     u0_max: float
     u0pp_min: float
     u0pp_max: float
-    monotone: bool
     orientation: str
+
+    @property
+    def monotone(self) -> bool:
+        return self.orientation != "none"
 
 
 def _refined_extrema(f, xs, vals):
@@ -279,10 +281,10 @@ def band_extrema(profile: ShearProfile, d: float) -> ProfileOnBand:
         slope_min, slope_max = _refined_extrema(lambda t: profile.eval(t)[1], ys, u0p)
 
     if slope_min > 0.0:
-        monotone, orientation = True, "increasing"
+        orientation = "increasing"
     elif slope_max < 0.0:
-        monotone, orientation = True, "decreasing"
+        orientation = "decreasing"
     else:
-        monotone, orientation = False, "none"
+        orientation = "none"
 
-    return ProfileOnBand(profile, d, u0_min, u0_max, upp_min, upp_max, monotone, orientation)
+    return ProfileOnBand(profile, d, u0_min, u0_max, upp_min, upp_max, orientation)

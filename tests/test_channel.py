@@ -32,11 +32,6 @@ class TestGeometry:
     def test_width_and_half_width(self):
         g = ChannelGeometry(4.0, -0.5, 1.5)
         assert g.width == 2.0
-        assert g.half_width == 1.0
-
-    def test_centering(self):
-        g = ChannelGeometry(4.0, 0.0, 3.0).centered()
-        assert g.d_minus == -1.5 and g.d_plus == 1.5
 
     @pytest.mark.parametrize("L,dm,dp", [(0.0, -1, 1), (-2.0, -1, 1), (1.0, 1, 1), (1.0, 2, 1)])
     def test_rejects_bad_geometry(self, L, dm, dp):

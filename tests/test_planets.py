@@ -7,7 +7,6 @@ import pytest
 from qgwave import (
     JUPITER,
     SATURN,
-    BandSpec,
     DomainError,
     PlanetData,
     band_halfwidth,
@@ -83,13 +82,6 @@ class TestDataTypes:
     def test_planet_validation(self):
         with pytest.raises(DomainError):
             PlanetData("x", -1.0, 1.0, 1.0)
-
-    def test_band_spec_validation(self):
-        BandSpec(38.0, 2.0)
-        with pytest.raises(DomainError):
-            BandSpec(90.0, 2.0)
-        with pytest.raises(DomainError):
-            BandSpec(38.0, 0.0)
 
 
 @pytest.fixture(scope="module")
