@@ -6,8 +6,9 @@ rigidity from existence of nearby genuine traveling waves, and classifies
 the wave speed of gridded traveling-wave fields.
 
 `import qgwave` binds only `classify` eagerly; every other public name
-imports its submodule on first access (PEP 562), so only the eigen solvers
-pull in scipy.
+imports its submodule on first access (PEP 562).  No import loads scipy:
+the eigen solvers load it on their first solve, so the field commands of
+`qgwave.cli` never do.
 """
 
 from importlib import import_module as _import_module

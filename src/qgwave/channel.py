@@ -205,7 +205,7 @@ def diagnostics(field: WaveField) -> FieldDiagnostics:
 _FIELD_KEYS = ("nx", "ny", "L", "d_minus", "d_plus", "c", "beta", "u", "v")
 
 
-def field_to_dict(field: WaveField) -> dict:
+def _field_scalars(field: WaveField) -> dict:
     g = field.grid
     return {
         "nx": g.nx,
@@ -215,9 +215,30 @@ def field_to_dict(field: WaveField) -> dict:
         "d_plus": g.geometry.d_plus,
         "c": field.c,
         "beta": field.beta,
-        "u": field.u.tolist(),
-        "v": field.v.tolist(),
     }
+
+
+def field_to_dict(field: WaveField) -> dict:
+    return {**_field_scalars(field), "u": field.u.tolist(), "v": field.v.tolist()}
+
+
+def dump_field(field: WaveField, fh) -> None:
+    """Write json.dumps(field_to_dict(field), sort_keys=True) and a newline to fh.
+
+    The bytes are the same, but the document is written one row of u or v
+    at a time, so the whole field is never held as text or as Python
+    floats.  The sorted scalar keys all precede "u" and "v".
+    """
+    head = json.dumps(_field_scalars(field), sort_keys=True)
+    fh.write(head[:-1])  # the scalars without the closing brace
+    for key, arr in (("u", field.u), ("v", field.v)):
+        fh.write(f', "{key}": [')
+        for j, row in enumerate(arr):
+            if j:
+                fh.write(", ")
+            fh.write(json.dumps(row.tolist()))
+        fh.write("]")
+    fh.write("}\n")
 
 
 def field_from_dict(doc: dict) -> WaveField:
@@ -247,8 +268,7 @@ def field_from_dict(doc: dict) -> WaveField:
 
 def write_field(field: WaveField, path) -> None:
     with open(path, "w", encoding="ascii") as fh:
-        json.dump(field_to_dict(field), fh, sort_keys=True)
-        fh.write("\n")
+        dump_field(field, fh)
 
 
 def read_field(path) -> WaveField:

@@ -4,8 +4,8 @@ Each subcommand handler takes the parsed arguments and returns
 (payload, text); `run` is the one place that writes.  The text is the
 default output (CSV for `curve`); `--json` writes the payload as a sorted
 JSON document with a `meta` block instead, and `-o` sends either to a file
-rather than stdout.  `example -o` streams the field file itself and returns
-nothing to write.
+rather than stdout.  `example` streams the field itself, row by row, to the
+file or to stdout, and returns nothing to write.
 
 Exit codes: 0 success, 1 scientific failure (domain violations, lost
 convergence, missing roots) with JSON error detail on stderr, 2 usage
@@ -21,7 +21,7 @@ import math
 import sys
 
 from . import __version__
-from .channel import ChannelGeometry, Grid2D, diagnostics, field_to_dict, read_field, write_field
+from .channel import ChannelGeometry, Grid2D, diagnostics, dump_field, read_field, write_field
 from .classify import DEFAULT_EPS_SCALE, classify
 from .eigen import (
     DEFAULT_EIGEN_TOL,
@@ -209,9 +209,10 @@ def _example_field(args):
 def _cmd_example(args):
     wf = _example_field(args)
     if args.output:
-        write_field(wf, args.output)  # streams the field; nothing left to emit
-        return None
-    return None, json.dumps(field_to_dict(wf), sort_keys=True) + "\n"
+        write_field(wf, args.output)
+    else:
+        dump_field(wf, sys.stdout)
+    return None  # the field is streamed; nothing left to emit
 
 
 def _cmd_planet(args):

@@ -34,7 +34,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import (
     ConvergenceError,
@@ -121,7 +120,11 @@ def _solve_rung(V, d, n):
     Sturm-sequence bisection isolates the eigenvalue, inverse iteration
     (LAPACK stein) yields the eigenvector, and the stable Rayleigh quotient
     restores near-machine absolute accuracy for the eigenvalue itself.
+    scipy is loaded here, by the first solve, so that importing this module
+    (as every CLI command does) does not load it.
     """
+    from scipy.linalg import eigh_tridiagonal
+
     h = 2.0 * d / n
     y = -d + h * np.arange(1, n)
     Vy = np.asarray(V(y), dtype=float)

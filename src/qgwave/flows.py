@@ -160,10 +160,7 @@ def make_grs_vortex(p: GrsParams, grid: Grid2D, clip_radius: float) -> WaveField
         raise DomainError("vortex example needs a band centered at y = 0")
     if not (clip_radius > 0):
         raise DomainError(f"clip radius must be positive, got {clip_radius}")
-    if p.a**2 - p.b**2 * clip_radius**p.k <= 0:
-        raise DomainError(
-            f"mu is not real out to r={clip_radius}: need a^2 - b^2 r^k > 0"
-        )
+    p.mu(clip_radius)  # raises DomainError unless mu is real out to the clip radius
 
     X, Y = grid.mesh()
     Xd = X - g.L * np.round(X / g.L)  # periodic displacement from the x = 0 node

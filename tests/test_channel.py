@@ -21,7 +21,17 @@ from qgwave import (
     read_field,
     write_field,
 )
-from qgwave.flows import Example31Params, GrsParams, make_grs_vortex, make_inflection_wave
+from qgwave.cli import main
+from qgwave.flows import (
+    KOLMOGOROV_PERIOD,
+    MIN_CRITICAL_BETA0,
+    Example31Params,
+    GrsParams,
+    make_grs_vortex,
+    make_inflection_wave,
+    make_kolmogorov_perturbed,
+    make_min_critical_wave,
+)
 
 
 def std_grid(nx=64, ny=65, L=2 * math.pi, d=1.0):
@@ -251,3 +261,69 @@ class TestFieldIO:
         z = np.zeros(grid.shape)
         with pytest.raises(DomainError):
             WaveField(grid, z, z, c=0.0, beta=-1.0)
+
+
+def _json_dumps_bytes(wf):
+    """The field file as one json.dumps call writes it: the writer's reference."""
+    return (json.dumps(field_to_dict(wf), sort_keys=True) + "\n").encode("ascii")
+
+
+_EXAMPLES = {
+    "ex31": lambda: make_inflection_wave(Example31Params(), std_grid(nx=16, ny=11)),
+    "ex32": lambda: make_min_critical_wave(MIN_CRITICAL_BETA0, 0.0, std_grid(nx=16, ny=11)),
+    "ex33": lambda: make_kolmogorov_perturbed(
+        0.1, Grid2D(16, 11, ChannelGeometry(KOLMOGOROV_PERIOD, -math.pi, math.pi))
+    ),
+    "grs": lambda: make_grs_vortex(
+        GrsParams(), Grid2D(32, 33, ChannelGeometry(4.0, -2.0, 2.0)), 1.5
+    ),
+}
+
+
+class TestStreamedWriter:
+    """write_field streams row by row and must keep the bytes of json.dumps."""
+
+    @pytest.mark.parametrize("name", sorted(_EXAMPLES))
+    def test_examples_match_json_dumps(self, tmp_path, name):
+        wf = _EXAMPLES[name]()
+        path = tmp_path / "field.json"
+        write_field(wf, path)
+        assert path.read_bytes() == _json_dumps_bytes(wf)
+
+    def test_edge_values_match_json_dumps(self, tmp_path):
+        # integer geometry and beta stay integers in the header
+        grid = Grid2D(8, 9, ChannelGeometry(8, -4, 4))
+        u = np.zeros(grid.shape)
+        u[0, :5] = [-0.0, 5e-324, 1e-300, 1e300, -1e300]
+        u[1, :4] = [1.0, -3.0, 2.0**53, 1e16]
+        v = np.full(grid.shape, -0.0)
+        v[-1, -1] = -5e-324
+        wf = WaveField(grid, u, v, c=-0.0, beta=2)
+        path = tmp_path / "field.json"
+        write_field(wf, path)
+        text = path.read_bytes()
+        assert text == _json_dumps_bytes(wf)
+        assert b"-0.0" in text and b"5e-324" in text and b"1e+300" in text
+        back = read_field(path)
+        assert np.array_equal(back.u, u) and np.array_equal(back.v, v)
+        assert np.array_equal(np.signbit(back.v), np.signbit(v))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--name", "ex31"),
+            ("--name", "ex32", "--beta-mode", "beta0"),
+            ("--name", "ex33"),
+            ("--name", "grs"),
+        ],
+        ids=["ex31", "ex32", "ex33", "grs"],
+    )
+    def test_cli_file_and_stdout_are_identical(self, capsys, tmp_path, argv):
+        argv = ("example", *argv, "--nx", "16", "--ny", "17")
+        assert main(list(argv)) == 0
+        out = capsys.readouterr().out
+        path = tmp_path / "f.json"
+        assert main([*argv, "-o", str(path)]) == 0
+        assert capsys.readouterr().out == ""
+        assert path.read_bytes() == out.encode("ascii")
+        assert out.encode("ascii") == _json_dumps_bytes(read_field(path))

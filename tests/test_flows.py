@@ -209,3 +209,11 @@ class TestGrsVortex:
         grid = Grid2D(64, 65, ChannelGeometry(8.0, -4.0, 4.0))
         with pytest.raises(DomainError):
             make_grs_vortex(GrsParams(a=2.0, b=1.0, k=3.0), grid, clip_radius=3.0)
+
+    def test_clip_radius_on_the_domain_boundary(self):
+        # a^2 = b^2 R^k exactly: mu(R) = a is real, and so is mu at every
+        # node with r < R, so the vortex is admissible
+        grid = Grid2D(64, 65, ChannelGeometry(8.0, -4.0, 4.0))
+        wf = make_grs_vortex(GrsParams(a=4.0, b=1.0, k=4.0), grid, clip_radius=2.0)
+        assert np.all(np.isfinite(wf.u)) and np.all(np.isfinite(wf.v))
+        assert np.max(np.abs(wf.u)) > 0.0

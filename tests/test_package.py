@@ -1,6 +1,7 @@
 """The public package namespace."""
 
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -16,18 +17,59 @@ def test_every_public_name_resolves():
     assert missing == []
 
 
-def test_plain_import_loads_no_scipy():
+_LOADED_SCIPY = "sorted(m for m in sys.modules if m.startswith('scipy'))"
+
+
+def _fresh_python(code, cwd=None):
+    """Run code in a fresh interpreter that imports this qgwave; return its stdout."""
     src = os.path.dirname(os.path.dirname(qgwave.__file__))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    code = "import sys, qgwave; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
     out = subprocess.run(
         [sys.executable, "-c", code],
         env={**os.environ, "PYTHONPATH": path},
+        cwd=cwd,
         capture_output=True,
         text=True,
         check=True,
     )
-    assert out.stdout.strip() == "[]"
+    return out.stdout
+
+
+def test_plain_import_loads_no_scipy():
+    assert _fresh_python(f"import sys, qgwave; print({_LOADED_SCIPY})").strip() == "[]"
+
+
+def test_cli_import_loads_no_scipy():
+    assert _fresh_python(f"import sys, qgwave.cli; print({_LOADED_SCIPY})").strip() == "[]"
+
+
+def test_field_commands_load_no_scipy(tmp_path):
+    code = f"""
+import contextlib, io, sys
+from qgwave.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [
+        main(["example", "--name", "ex32", "--beta-mode", "beta0", "-o", "f.json"]),
+        main(["classify", "--field", "f.json", "--json"]),
+        main(["verify", "--field", "f.json"]),
+    ]
+print(codes, {_LOADED_SCIPY})
+"""
+    assert _fresh_python(code, cwd=tmp_path).strip() == "[0, 0, 0] []"
+
+
+def test_eigen_command_loads_scipy_on_its_first_solve():
+    code = f"""
+import sys
+from qgwave.cli import main
+print({_LOADED_SCIPY} == [])
+main(["eigen", "--profile", "couette", "--d", "1", "--beta", "2", "--c", "min", "--json"])
+print("scipy.linalg" in sys.modules)
+"""
+    before, *doc, after = _fresh_python(code).splitlines()
+    assert before == "True" and after == "True"
+    res = json.loads("\n".join(doc))
+    assert abs(res["lambda1"] + 0.25) <= res["est_error"]
 
 
 def test_classify_is_the_function_after_its_module_is_imported():
