@@ -7,8 +7,9 @@ the wave speed of gridded traveling-wave fields.
 
 `import qgwave` binds only `classify` eagerly; every other public name
 imports its submodule on first access (PEP 562).  No import loads scipy:
-the eigen solvers load it on their first solve, so the field commands of
-`qgwave.cli` never do.
+the eigen solvers load only scipy's LAPACK extension, on their first solve,
+so the field commands of `qgwave.cli` load no scipy module and the spectral
+ones load just that one.
 """
 
 from importlib import import_module as _import_module

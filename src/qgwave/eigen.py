@@ -14,10 +14,12 @@ remain usable there.
 Discretization: interior nodes y_j = -d + j*h, j = 1..N-1, h = 2d/N, giving
 a symmetric tridiagonal matrix with diagonal 2/h^2 + V(y_j) and off-diagonal
 -1/h^2.  Its smallest eigenvalue is extracted by Sturm-sequence bisection
-(LAPACK stebz) and a stable Rayleigh quotient; the grid is refined N -> 2N
-and every rung reports the Richardson extrapolate
-E(2N) = (4*lambda(2N) - lambda(N)) / 3.  The ladder stops once
-|E(2N) - E(N)| < tol, and that difference is the reported error estimate.
+and inverse iteration (LAPACK dstebz + dstein, called directly on scipy's
+LAPACK extension, which is loaded without importing scipy.linalg) and a
+stable Rayleigh quotient; the grid is refined N -> 2N and every rung
+reports the Richardson extrapolate E(2N) = (4*lambda(2N) - lambda(N)) / 3.
+The ladder stops once |E(2N) - E(N)| < tol, and that difference is the
+reported error estimate.
 The error of lambda(N) is a clean multiple of h^2 also at c = u0_min: the
 regular solution at the singular wall is a Frobenius series with indicial
 roots 0 and 1 and no log term, and the raw iterates there show ratio 4.
@@ -29,7 +31,11 @@ path serves both orientations.
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -114,25 +120,71 @@ def _rayleigh_quotient(vec, Vy, h):
     return num / float(vec @ vec)
 
 
+@functools.cache
+def _lapack():
+    """scipy's LAPACK wrappers, for the kernel's dstebz and dstein.
+
+    scipy.linalg._flapack is loaded from its file alone, in about 5 ms,
+    where importing scipy.linalg takes about 250 ms (2-vCPU machine,
+    Python 3.11, scipy 1.17).  The extension registers itself in
+    sys.modules, so a later `import scipy.linalg` in the same process reuses
+    this module.  If scipy's layout has no such file, or it fails to load,
+    scipy.linalg.lapack serves instead.
+    """
+    spec = importlib.util.find_spec("scipy")
+    if spec is not None and spec.submodule_search_locations:
+        finder = importlib.machinery.FileFinder(
+            os.path.join(spec.submodule_search_locations[0], "linalg"),
+            (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES),
+        )
+        ext = finder.find_spec("scipy.linalg._flapack")
+        if ext is not None:
+            try:
+                module = importlib.util.module_from_spec(ext)
+                ext.loader.exec_module(module)
+                return module
+            except ImportError:
+                pass
+    from scipy.linalg import lapack
+
+    return lapack
+
+
+def _check_info(info, routine):
+    """Raise as scipy does for a nonzero LAPACK info."""
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of internal {routine}")
+    if info > 0:
+        raise np.linalg.LinAlgError(f"{routine} did not converge (LAPACK info={info})")
+
+
 def _solve_rung(V, d, n):
     """Smallest eigenvalue and ground-state vector on N = n intervals.
 
-    Sturm-sequence bisection isolates the eigenvalue, inverse iteration
-    (LAPACK stein) yields the eigenvector, and the stable Rayleigh quotient
-    restores near-machine absolute accuracy for the eigenvalue itself.
-    scipy is loaded here, by the first solve, so that importing this module
-    (as every CLI command does) does not load it.
+    Sturm-sequence bisection (LAPACK dstebz) isolates the eigenvalue,
+    inverse iteration (dstein) yields the eigenvector, and the stable
+    Rayleigh quotient restores near-machine absolute accuracy for the
+    eigenvalue itself.  The two routines are the ones
+    scipy.linalg.eigh_tridiagonal(select="i") calls, called directly with
+    its arguments and checks, so the results are bit-identical to it; the
+    single-node matrix of N = 2 is its own eigenvector, as there.
     """
-    from scipy.linalg import eigh_tridiagonal
-
     h = 2.0 * d / n
     y = -d + h * np.arange(1, n)
     Vy = np.asarray(V(y), dtype=float)
-    diag = 2.0 / (h * h) + Vy
-    off = np.full(n - 2, -1.0 / (h * h))
+    diag = np.asarray_chkfinite(2.0 / (h * h) + Vy)
+    off = np.asarray_chkfinite(np.full(n - 2, -1.0 / (h * h)))
 
-    _, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, 0))
-    vec = vecs[:, 0]
+    if n == 2:
+        vec = np.ones(1)
+    else:
+        lapack = _lapack()
+        # by index (range 2), il = iu = 1; vl, vu unused; abstol 0 is LAPACK's default
+        m, w, iblock, isplit, info = lapack.dstebz(diag, off, 2, 0.0, 1.0, 1, 1, 0.0, "B")
+        _check_info(info, "dstebz")
+        vecs, info = lapack.dstein(diag, off, w[:m], iblock, isplit)
+        _check_info(info, "dstein")
+        vec = vecs[:, 0]
     lam = _rayleigh_quotient(vec, Vy, h)
     if vec[int(np.argmax(np.abs(vec)))] < 0:
         vec = -vec

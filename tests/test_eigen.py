@@ -168,6 +168,95 @@ class TestPrincipalEigenvalue:
             assert num / den >= res.lambda1 - 10 * tol
 
 
+def _eigh_tridiagonal_rung(V, d, n):
+    """A rung as scipy.linalg.eigh_tridiagonal(select="i") solves it."""
+    from scipy.linalg import eigh_tridiagonal
+
+    h = 2.0 * d / n
+    Vy = np.asarray(V(-d + h * np.arange(1, n)), dtype=float)
+    _, vecs = eigh_tridiagonal(
+        2.0 / (h * h) + Vy, np.full(n - 2, -1.0 / (h * h)), select="i", select_range=(0, 0)
+    )
+    vec = vecs[:, 0]
+    lam = qgwave.eigen._rayleigh_quotient(vec, Vy, h)
+    if vec[int(np.argmax(np.abs(vec)))] < 0:
+        vec = -vec
+    return lam, vec / math.sqrt(h * float(np.sum(vec * vec)))
+
+
+def _potential(band, beta, c):
+    u = qgwave.eigen._oriented_profile(band, beta, c)
+
+    def V(y):
+        u0, _, u0pp = u(y)
+        return -(beta - u0pp) / (u0 - c)
+
+    return V
+
+
+class TestLapackKernel:
+    """The direct dstebz + dstein rung against scipy's eigh_tridiagonal."""
+
+    @pytest.mark.parametrize("n", [2, 3, 256, 4096])
+    @pytest.mark.parametrize("case", ["couette_singular", "kolmogorov_regular"])
+    def test_rung_bit_equal_to_eigh_tridiagonal(self, couette_band, case, n):
+        if case == "couette_singular":
+            band, beta, c = couette_band, 5.0, couette_band.u0_min
+        else:
+            band, beta, c = band_extrema(Kolmogorov(), 1.2), 0.3, -1.5
+        V = _potential(band, beta, c)
+        lam, vec = qgwave.eigen._solve_rung(V, band.d, n)
+        lam_ref, vec_ref = _eigh_tridiagonal_rung(V, band.d, n)
+        assert lam == lam_ref
+        assert vec.tobytes() == vec_ref.tobytes()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("n", [2, 256])
+    def test_nonfinite_potential_raises_as_scipy_did(self, bad, n):
+        def V(y):
+            out = np.zeros_like(y)
+            out[-1] = bad
+            return out
+
+        with pytest.raises(ValueError, match="^array must not contain infs or NaNs$"):
+            _eigh_tridiagonal_rung(V, 1.0, n)
+        with pytest.raises(ValueError, match="^array must not contain infs or NaNs$"):
+            qgwave.eigen._solve_rung(V, 1.0, n)
+
+    @pytest.mark.parametrize("failure", ["no_extension_file", "load_error"])
+    def test_falls_back_to_scipy_linalg_lapack(self, couette_band, monkeypatch, failure):
+        from importlib import machinery
+
+        from scipy.linalg import lapack
+
+        assert qgwave.eigen._lapack().__name__ == "scipy.linalg._flapack"
+        direct = principal_eigenvalue(couette_band, 2.0, -1.0, tol=1e-8)
+        if failure == "no_extension_file":
+
+            class NoFile(machinery.FileFinder):
+                def find_spec(self, fullname, target=None):
+                    return None
+
+            monkeypatch.setattr(machinery, "FileFinder", NoFile)
+        else:
+
+            class Broken(machinery.ExtensionFileLoader):
+                def exec_module(self, module):
+                    raise ImportError("simulated load failure")
+
+            monkeypatch.setattr(machinery, "ExtensionFileLoader", Broken)
+        qgwave.eigen._lapack.cache_clear()
+        try:
+            assert qgwave.eigen._lapack() is lapack
+            res = principal_eigenvalue(couette_band, 2.0, -1.0, tol=1e-8)
+        finally:
+            monkeypatch.undo()
+            qgwave.eigen._lapack.cache_clear()
+        assert (res.lambda1, res.est_error, res.n_used, res.history) == (
+            direct.lambda1, direct.est_error, direct.n_used, direct.history)
+        assert res.eigvec.tobytes() == direct.eigvec.tobytes()
+
+
 class TestMonotonicityAndContinuity:
     def test_strictly_decreasing_in_beta(self, couette_band):
         bands = [couette_band, band_extrema(ConcaveParabola(7.0), 1.0)]

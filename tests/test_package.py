@@ -58,18 +58,35 @@ print(codes, {_LOADED_SCIPY})
     assert _fresh_python(code, cwd=tmp_path).strip() == "[0, 0, 0] []"
 
 
-def test_eigen_command_loads_scipy_on_its_first_solve():
+def test_eigen_command_loads_only_the_lapack_extension():
     code = f"""
 import sys
 from qgwave.cli import main
-print({_LOADED_SCIPY} == [])
+print({_LOADED_SCIPY})
 main(["eigen", "--profile", "couette", "--d", "1", "--beta", "2", "--c", "min", "--json"])
-print("scipy.linalg" in sys.modules)
+print({_LOADED_SCIPY})
 """
     before, *doc, after = _fresh_python(code).splitlines()
-    assert before == "True" and after == "True"
+    assert before == "[]"
+    assert after == "['scipy.linalg._flapack']"
     res = json.loads("\n".join(doc))
     assert abs(res["lambda1"] + 0.25) <= res["est_error"]
+
+
+def test_scipy_linalg_reuses_the_extension_the_solver_loaded():
+    code = """
+import sys
+import numpy as np
+from qgwave import band_extrema, couette, principal_eigenvalue
+from qgwave.eigen import _lapack
+principal_eigenvalue(band_extrema(couette(), 1.0), 2.0, -1.0)
+import scipy.linalg
+w = scipy.linalg.eigh_tridiagonal(np.full(3, 2.0), np.full(2, -1.0), eigvals_only=True)
+exact = 2.0 - 2.0 * np.cos(np.arange(1, 4) * np.pi / 4.0)
+print(sys.modules["scipy.linalg._flapack"] is _lapack(), scipy.linalg.lapack._flapack is _lapack(),
+      np.allclose(w, exact, rtol=0, atol=1e-14))
+"""
+    assert _fresh_python(code).split() == ["True", "True", "True"]
 
 
 def test_classify_is_the_function_after_its_module_is_imported():
