@@ -8,11 +8,9 @@ with periodic wrap in x, central differences at interior y rows, and
 second-order one-sided stencils at the two boundary rows.
 """
 
-from __future__ import annotations
-
 import json
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,44 +19,57 @@ from .errors import DomainError, FieldFormatError, ShapeError
 _EPS = float(np.finfo(float).eps)
 
 
-@dataclass(frozen=True)
-class ChannelGeometry:
-    """Zonal period L and meridional band [d_minus, d_plus]."""
-
+# A NamedTuple class may not define __new__, so each validated record is a
+# subclass of its fields' NamedTuple that checks them in __new__; the empty
+# __slots__ keeps it without an instance __dict__, so it stays immutable.
+class _Geometry(NamedTuple):
     L: float
     d_minus: float
     d_plus: float
 
-    def __post_init__(self):
+
+class ChannelGeometry(_Geometry):
+    """Zonal period L and meridional band [d_minus, d_plus]."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not (self.L > 0 and math.isfinite(self.L)):
             raise DomainError(f"zonal period must be positive and finite, got L={self.L}")
         if not (self.d_plus > self.d_minus):
             raise DomainError(
                 f"band endpoints must satisfy d_minus < d_plus, got [{self.d_minus}, {self.d_plus}]"
             )
+        return self
 
     @property
     def width(self) -> float:
         return self.d_plus - self.d_minus
 
 
-@dataclass(frozen=True)
-class Grid2D:
+class _Grid(NamedTuple):
+    nx: int
+    ny: int
+    geometry: ChannelGeometry
+
+
+class Grid2D(_Grid):
     """Uniform grid on the periodic channel.
 
     x nodes: x_i = i*hx for i = 0..nx-1 (node nx is identified with node 0).
     y nodes: y_j = d_minus + j*hy for j = 0..ny-1; both walls are nodes.
     """
 
-    nx: int
-    ny: int
-    geometry: ChannelGeometry
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.nx < 8 or self.nx % 2 != 0:
             raise DomainError(f"nx must be even and >= 8, got {self.nx}")
         if self.ny < 9:
             raise DomainError(f"ny must be >= 9, got {self.ny}")
+        return self
 
     @property
     def hx(self) -> float:
@@ -120,37 +131,38 @@ def laplacian(field, grid: Grid2D) -> np.ndarray:
     return fxx + fyy
 
 
-@dataclass(frozen=True)
-class WaveField:
-    """Gridded traveling wave: velocities (u, v), wave speed c, Coriolis gradient beta.
-
-    The frame moves with the wave, so u and v are functions of (x - c t, y)
-    sampled at t = 0.  Fields are immutable after construction.
-    """
-
+class _Wave(NamedTuple):
     grid: Grid2D
     u: np.ndarray
     v: np.ndarray
     c: float
     beta: float
 
-    def __post_init__(self):
-        u = _as_field(self.u, self.grid)
-        v = _as_field(self.v, self.grid)
+
+class WaveField(_Wave):
+    """Gridded traveling wave: velocities (u, v), wave speed c, Coriolis gradient beta.
+
+    The frame moves with the wave, so u and v are functions of (x - c t, y)
+    sampled at t = 0.  Fields are immutable after construction.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, grid, u, v, c, beta):
+        u = _as_field(u, grid)
+        v = _as_field(v, grid)
         if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
             raise DomainError("velocity fields must be finite")
-        if not (math.isfinite(self.c) and math.isfinite(self.beta)):
+        if not (math.isfinite(c) and math.isfinite(beta)):
             raise DomainError("c and beta must be finite")
-        if self.beta < 0:
-            raise DomainError(f"beta must be >= 0, got {self.beta}")
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "v", v)
+        if beta < 0:
+            raise DomainError(f"beta must be >= 0, got {beta}")
         u.setflags(write=False)
         v.setflags(write=False)
+        return super().__new__(cls, grid, u, v, c, beta)
 
 
-@dataclass(frozen=True)
-class FieldDiagnostics:
+class FieldDiagnostics(NamedTuple):
     """Residual norms of the traveling-wave governing equations.
 
     residual_inf is the sup norm of (u - c) * lap(v) + v * (beta - lap(u)),

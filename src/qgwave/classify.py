@@ -10,10 +10,8 @@ grid edges together with scaled node tolerances, and every witness node is
 reported so the verdict can be audited.
 """
 
-from __future__ import annotations
-
 import math
-from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -77,8 +75,7 @@ def _witnesses(mask: np.ndarray, grid: Grid2D, score: np.ndarray):
     return out, count
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(NamedTuple):
     """Per-category verdicts with the numerical evidence behind each.
 
     theorem_consistent asserts what the classification theorem demands: a
@@ -122,7 +119,7 @@ class ClassificationReport:
         return tuple(cats)
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "categories": list(self.categories())}
+        return {**self._asdict(), "categories": list(self.categories())}
 
 
 def _tolerances(field: WaveField, eps_scale: float):
@@ -226,22 +223,19 @@ def classify(field: WaveField, eps_scale: float = DEFAULT_EPS_SCALE) -> Classifi
     )
 
 
-@dataclass(frozen=True)
-class HypothesisCheck:
+class HypothesisCheck(NamedTuple):
     condition: str
     satisfied: bool
     evidence: dict
 
 
-@dataclass(frozen=True)
-class TheoremCheck:
+class TheoremCheck(NamedTuple):
     name: str
     hypotheses: tuple
     conclusion: str
 
 
-@dataclass(frozen=True)
-class RigidityVerdict:
+class RigidityVerdict(NamedTuple):
     """Hypothesis-by-hypothesis evaluation of the rigidity theorems.
 
     Each theorem concludes "shear flow" only when every one of its
@@ -255,7 +249,13 @@ class RigidityVerdict:
         return any(t.conclusion == "shear flow" for t in self.applicable_theorems)
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """Nested records as dicts, so the JSON document holds objects, not arrays."""
+        return {
+            "applicable_theorems": tuple(
+                {**t._asdict(), "hypotheses": tuple(h._asdict() for h in t.hypotheses)}
+                for t in self.applicable_theorems
+            )
+        }
 
 
 def _directional_margin(grad: tuple, grid: Grid2D, eps_scale: float) -> float:

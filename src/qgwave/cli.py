@@ -13,8 +13,6 @@ errors.  Output is fully deterministic: identical invocations produce
 identical bytes, and the only metadata is the tool name and version.
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import math
@@ -216,6 +214,8 @@ def _cmd_example(args):
 
 
 def _cmd_planet(args):
+    if args.case is not None and (args.name is not None or args.theta0 is not None):
+        raise ProfileSpecError("planet takes --case, or --name and --theta0, not both")
     if args.case == "jupiter-band":
         payload = jupiter_band_case()
     elif args.case == "saturn-polar":
@@ -252,41 +252,36 @@ def _add_band_flags(p):
     p.add_argument("--d", type=float, required=True, help="band half-width")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="qgwave",
-        description="Eigenvalues, transitional beta values and wave classification "
-        "for shear flows in a zonal channel.",
-    )
-    parser.add_argument("--version", action="version", version=f"qgwave {__version__}")
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = sub.add_parser("eigen", help="principal eigenvalue at (beta, c)")
+def _eigen_args(p):
     _add_band_flags(p)
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--c", required=True, help="wave speed, or 'min' for the singular case")
     p.add_argument("--tol", type=float, default=DEFAULT_EIGEN_TOL)
     _add_output_flags(p)
 
-    p = sub.add_parser("critical-beta", help="transitional beta value")
+
+def _critical_beta_args(p):
     _add_band_flags(p)
     p.add_argument("--tol", type=float, default=DEFAULT_ROOT_TOL)
     _add_output_flags(p)
 
-    p = sub.add_parser("inf-c", help="infimum of lambda1 over wave speeds")
+
+def _inf_c_args(p):
     _add_band_flags(p)
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--tol", type=float, default=DEFAULT_EIGEN_TOL)
     _add_output_flags(p)
 
-    p = sub.add_parser("root-c", help="wave speed with lambda1 = -(2 pi / L)^2")
+
+def _root_c_args(p):
     _add_band_flags(p)
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--L", type=float, required=True, help="zonal period")
     p.add_argument("--tol", type=float, default=DEFAULT_ROOT_TOL)
     _add_output_flags(p)
 
-    p = sub.add_parser("curve", help="rigidity/existence boundary curve over beta")
+
+def _curve_args(p):
     _add_band_flags(p)
     p.add_argument("--beta-min", type=float, required=True)
     p.add_argument("--beta-max", type=float, required=True)
@@ -294,16 +289,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=DEFAULT_EIGEN_TOL)
     _add_output_flags(p)
 
-    p = sub.add_parser("classify", help="classify the wave speed of a field file")
+
+def _classify_args(p):
     p.add_argument("--field", required=True, help="wave-field JSON file")
     p.add_argument("--eps-scale", type=float, default=DEFAULT_EPS_SCALE)
     _add_output_flags(p)
 
-    p = sub.add_parser("verify", help="residuals of the governing equations for a field file")
+
+def _verify_args(p):
     p.add_argument("--field", required=True, help="wave-field JSON file")
     _add_output_flags(p)
 
-    p = sub.add_parser("example", help="emit a closed-form example field as JSON")
+
+def _example_args(p):
     p.add_argument("--name", required=True, choices=["ex31", "ex32", "ex33", "grs"])
     p.add_argument("--nx", type=int, default=256)
     p.add_argument("--ny", type=int, default=129)
@@ -325,12 +323,47 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=float, default=2.0)
     p.add_argument("-o", "--output", help="write the field file here instead of stdout")
 
-    p = sub.add_parser("planet", help="beta-plane parameters and worked cases")
+
+def _planet_args(p):
     p.add_argument("--case", choices=["jupiter-band", "saturn-polar"])
     p.add_argument("--name", choices=sorted(PLANETS))
     p.add_argument("--theta0", type=float, help="reference latitude in degrees")
     _add_output_flags(p)
 
+
+# subcommand -> (help, function that adds its arguments), in help order
+_SUBCOMMANDS = {
+    "eigen": ("principal eigenvalue at (beta, c)", _eigen_args),
+    "critical-beta": ("transitional beta value", _critical_beta_args),
+    "inf-c": ("infimum of lambda1 over wave speeds", _inf_c_args),
+    "root-c": ("wave speed with lambda1 = -(2 pi / L)^2", _root_c_args),
+    "curve": ("rigidity/existence boundary curve over beta", _curve_args),
+    "classify": ("classify the wave speed of a field file", _classify_args),
+    "verify": ("residuals of the governing equations for a field file", _verify_args),
+    "example": ("emit a closed-form example field as JSON", _example_args),
+    "planet": ("beta-plane parameters and worked cases", _planet_args),
+}
+
+
+def build_parser(argv) -> argparse.ArgumentParser:
+    """The parser for argv: every subcommand is registered with its help,
+    but only the one argv names gets its arguments.
+
+    The top level takes no option with a value, so the subcommand is argv's
+    first token that does not start with "-".
+    """
+    parser = argparse.ArgumentParser(
+        prog="qgwave",
+        description="Eigenvalues, transitional beta values and wave classification "
+        "for shear flows in a zonal channel.",
+    )
+    parser.add_argument("--version", action="version", version=f"qgwave {__version__}")
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+    named = next((a for a in argv if not a.startswith("-")), None)
+    for name, (help_text, add_arguments) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if name == named:
+            add_arguments(p)
     return parser
 
 
@@ -365,10 +398,12 @@ def run(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv).parse_args(argv)
     tol = getattr(args, "tol", None)
-    if tol is not None and not tol > 0:
-        sys.stderr.write(f"qgwave: --tol must be positive, got {tol}\n")
+    if tol is not None and not (tol > 0 and math.isfinite(tol)):
+        need = "finite" if tol > 0 else "positive"
+        sys.stderr.write(f"qgwave: --tol must be {need}, got {tol}\n")
         return 2
     return run(args)
 

@@ -29,15 +29,12 @@ eigenvalue unchanged and pins the singular wall at y = -d, so a single code
 path serves both orientations.
 """
 
-from __future__ import annotations
-
 import functools
 import importlib.machinery
 import importlib.util
 import math
 import os
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -85,8 +82,7 @@ def _oriented_profile(band: ProfileOnBand, beta: float, c: float) -> Callable:
     return prof.eval
 
 
-@dataclass(frozen=True)
-class EigenResult:
+class EigenResult(NamedTuple):
     """Principal eigenvalue with its ground-state vector and convergence data.
 
     eigvec holds the interior-node eigenfunction samples on the final grid,
@@ -411,8 +407,7 @@ def wave_speed_root(band: ProfileOnBand, beta: float, L: float, tol: float = DEF
     raise ConvergenceError(f"wave-speed Newton iteration did not reach residual {tol} in 200 steps")
 
 
-@dataclass(frozen=True)
-class CurvePoint:
+class CurvePoint(NamedTuple):
     """One sample of the rigidity/existence boundary curve.
 
     L_crit = 2 pi / sqrt(-lambda1) is the critical zonal period separating

@@ -5,10 +5,8 @@ diagnostic residuals measure only the discrete stencils, never a sampled
 stream function's differentiation error.
 """
 
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,16 +31,7 @@ def _require_geometry(grid: Grid2D, L: float, d_minus: float, d_plus: float, wha
         )
 
 
-@dataclass(frozen=True)
-class Example31Params:
-    """Parameters of the inflection-value wave family on T_{2pi} x [-1, 1].
-
-    The stream function mixes a cos((2k+1) pi y / 2) sin(n x) cell with
-    meridional harmonics of frequency sqrt(-lambda); lambda is pinned to
-    -n^2 - (2k+1)^2 pi^2 / 4 < 0 so the whole field satisfies
-    lap(psi) + beta y = lambda (psi + c y) + xi.
-    """
-
+class _Example31(NamedTuple):
     n: int = 1
     k: int = 1
     A: float = 1.0
@@ -52,9 +41,23 @@ class Example31Params:
     xi: float = 0.0
     beta: float = 1.0
 
-    def __post_init__(self):
+
+class Example31Params(_Example31):
+    """Parameters of the inflection-value wave family on T_{2pi} x [-1, 1].
+
+    The stream function mixes a cos((2k+1) pi y / 2) sin(n x) cell with
+    meridional harmonics of frequency sqrt(-lambda); lambda is pinned to
+    -n^2 - (2k+1)^2 pi^2 / 4 < 0 so the whole field satisfies
+    lap(psi) + beta y = lambda (psi + c y) + xi.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.n < 1 or self.k < 1:
             raise DomainError(f"n and k must be positive integers, got n={self.n}, k={self.k}")
+        return self
 
     @property
     def lam(self) -> float:
@@ -120,23 +123,28 @@ def make_kolmogorov_perturbed(eps: float, grid: Grid2D) -> WaveField:
     return WaveField(grid, u, v, 0.0, 0.0)
 
 
-@dataclass(frozen=True)
-class GrsParams:
+class _Grs(NamedTuple):
+    a: float = 2.0
+    b: float = 1.0
+    k: float = 3.0
+
+
+class GrsParams(_Grs):
     """Vortex strength profile mu(s) = a - sqrt(a^2 - b^2 s^k).
 
     a > b > 0 keeps mu real near the core and k > 2 makes mu'(0) = mu''(0)
     = 0, so both u and lap u vanish at the vortex center.
     """
 
-    a: float = 2.0
-    b: float = 1.0
-    k: float = 3.0
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not (self.a > self.b > 0.0):
             raise DomainError(f"need a > b > 0, got a={self.a}, b={self.b}")
         if not self.k > 2.0:
             raise DomainError(f"need k > 2, got k={self.k}")
+        return self
 
     def mu(self, s):
         s = np.asarray(s, dtype=float)

@@ -8,10 +8,8 @@ latitudes enter as negative degrees; beta uses the cosine of the signed
 angle and so is even in latitude.
 """
 
-from __future__ import annotations
-
 import math
-from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 from .classify import profile_rigidity_bound
 from .errors import DomainError
@@ -19,21 +17,26 @@ from .eigen import critical_beta
 from .profiles import LinearProfile, Polynomial, band_extrema, couette
 
 
-@dataclass(frozen=True)
-class PlanetData:
-    """Radius (m), rotation rate (rad/s), and velocity scale (m/s)."""
-
+class _Planet(NamedTuple):
     name: str
     R_prime: float
     Omega_prime: float
     U_prime: float
 
-    def __post_init__(self):
+
+class PlanetData(_Planet):
+    """Radius (m), rotation rate (rad/s), and velocity scale (m/s)."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if min(self.R_prime, self.Omega_prime, self.U_prime) <= 0:
             raise DomainError("planet parameters must all be positive")
+        return self
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 JUPITER = PlanetData("jupiter", 69911e3, 1.76e-4, 150.0)

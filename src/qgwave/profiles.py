@@ -6,11 +6,8 @@ monotonicity of a profile over a band [-d, d]: exactly for polynomials of
 degree <= 2, otherwise by a dense scan refined with golden-section search.
 """
 
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -128,7 +125,6 @@ class CouettePoiseuille(Polynomial):
         return f"cp:{self.gamma:g}"
 
 
-@dataclass(frozen=True)
 class Bickley(ShearProfile):
     """The jet profile u0(y) = -sech^2(y)."""
 
@@ -147,7 +143,6 @@ class Bickley(ShearProfile):
 BICKLEY_INFLECTION = 0.5 * math.log(2.0 + math.sqrt(3.0))
 
 
-@dataclass(frozen=True)
 class Kolmogorov(ShearProfile):
     """u0(y) = sin(y)."""
 
@@ -221,8 +216,7 @@ def parse_profile(spec: str) -> ShearProfile:
     raise ProfileSpecError(f"unknown profile kind '{head}'")
 
 
-@dataclass(frozen=True)
-class ProfileOnBand:
+class ProfileOnBand(NamedTuple):
     """A profile restricted to [-d, d] with certified extrema.
 
     orientation is 'increasing' or 'decreasing' when u0' keeps a strict sign

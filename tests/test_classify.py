@@ -1,6 +1,7 @@
 """Wave-speed classification, speed bound, and rigidity predicates."""
 
 import importlib
+import json
 import math
 
 import numpy as np
@@ -224,3 +225,34 @@ class TestProfileRigidityBound:
     def test_wide_bickley_never_satisfied(self):
         threshold, ok = profile_rigidity_bound(Bickley(), 0.7, 0.0)
         assert threshold < 0.0 and not ok
+
+
+class TestToDict:
+    """Records nest; their JSON documents hold objects, not arrays, at every level."""
+
+    def test_rigidity_verdict_json_is_objects_all_the_way_down(self):
+        verdict = rigidity_predicates(
+            make_inflection_wave(Example31Params(beta=1.0), channel_grid(64, 33))
+        )
+        doc = json.loads(json.dumps(verdict.to_dict()))
+        assert list(doc) == ["applicable_theorems"]
+        assert len(doc["applicable_theorems"]) == len(verdict.applicable_theorems) == 4
+        for entry, theorem in zip(doc["applicable_theorems"], verdict.applicable_theorems):
+            assert entry.keys() == {"name", "hypotheses", "conclusion"}
+            assert (entry["name"], entry["conclusion"]) == (theorem.name, theorem.conclusion)
+            assert len(entry["hypotheses"]) == len(theorem.hypotheses)
+            for h_doc, h in zip(entry["hypotheses"], theorem.hypotheses):
+                assert h_doc == {
+                    "condition": h.condition, "satisfied": h.satisfied, "evidence": h.evidence
+                }
+
+    def test_classification_report_json_is_objects(self):
+        report = classify(make_min_critical_wave(MIN_CRITICAL_BETA0, 0.0, channel_grid(64, 33)))
+        doc = json.loads(json.dumps(report.to_dict()))
+        assert doc.keys() == {*report._fields, "categories"}
+        assert doc["categories"] == list(report.categories())
+        assert doc["critical_count"] > 0
+        for key in ("inflection_witnesses", "critical_witnesses"):
+            assert all(w.keys() == {"iy", "ix", "x", "y"} for w in doc[key])
+        scalars = {k: v for k, v in doc.items() if not isinstance(v, list)}
+        assert scalars == {k: getattr(report, k) for k in scalars}

@@ -313,6 +313,12 @@ class TestPlanet:
         code, _, _ = run_cli(capsys, "planet", "--name", "jupiter")
         assert code == 2
 
+    @pytest.mark.parametrize("extra", [("--name", "jupiter"), ("--theta0", "38")])
+    def test_case_with_raw_parameters_exit_2(self, capsys, extra):
+        code, out, err = run_cli(capsys, "planet", "--case", "jupiter-band", *extra)
+        assert (code, out) == (2, "")
+        assert err == "qgwave: planet takes --case, or --name and --theta0, not both\n"
+
 
 class TestUsage:
     def test_bad_flag_raises_system_exit_2(self, capsys):
@@ -326,6 +332,23 @@ class TestUsage:
         assert err.value.code == 0
         assert "qgwave" in capsys.readouterr().out
 
+    def test_top_level_help_lists_every_subcommand(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["--help"])
+        assert err.value.code == 0
+        out = capsys.readouterr().out
+        assert "{" + ",".join(qgwave.cli._DISPATCH) + "}" in out
+
+    @pytest.mark.parametrize("subcommand", list(qgwave.cli._DISPATCH))
+    def test_subcommand_help_shows_its_arguments(self, capsys, subcommand):
+        # only the named subcommand's arguments are built; its help must list them
+        with pytest.raises(SystemExit) as err:
+            main([subcommand, "--help"])
+        assert err.value.code == 0
+        out = capsys.readouterr().out
+        assert out.split()[:3] == ["usage:", "qgwave", subcommand]
+        assert "--output" in out
+
     def test_handler_key_error_propagates(self, monkeypatch):
         def broken(config):
             raise KeyError("beta")
@@ -335,9 +358,11 @@ class TestUsage:
             main(["eigen", "--profile", "couette", "--d", "1", "--beta", "1", "--c", "-2"])
 
     def test_tol_must_be_positive(self, capsys):
-        code, _, _ = run_cli(
-            capsys,
-            "eigen", "--profile", "couette", "--d", "1", "--beta", "1",
-            "--c", "-2", "--tol", "0",
-        )
-        assert code == 2
+        for tol in ("0", "-1", "nan", "inf"):
+            code, out, err = run_cli(
+                capsys,
+                "eigen", "--profile", "couette", "--d", "1", "--beta", "1",
+                "--c", "-2", "--tol", tol,
+            )
+            assert (code, out) == (2, ""), tol
+            assert err.startswith("qgwave: --tol must be "), tol

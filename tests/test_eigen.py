@@ -11,7 +11,6 @@ the finite-difference path:
   eigenvalue exactly -1/4.
 """
 
-import dataclasses
 import math
 
 import numpy as np
@@ -526,7 +525,7 @@ class TestWaveSpeedRoot:
 
         def never_reaches(band, beta, c, **kwargs):
             calls.append(c)
-            return dataclasses.replace(end, lambda1=-1e6, c=c)
+            return end._replace(lambda1=-1e6, c=c)
 
         monkeypatch.setattr(qgwave.eigen, "principal_eigenvalue", never_reaches)
         monkeypatch.setattr(qgwave.eigen, "_eigen_slopes", lambda band, res: (0.0, 0.0))

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import types
 
+import numpy as np
 import pytest
 
 import qgwave
@@ -41,6 +42,11 @@ def test_plain_import_loads_no_scipy():
 
 def test_cli_import_loads_no_scipy():
     assert _fresh_python(f"import sys, qgwave.cli; print({_LOADED_SCIPY})").strip() == "[]"
+
+
+def test_cli_import_loads_no_dataclasses():
+    code = "import sys, qgwave.cli; print('dataclasses' in sys.modules)"
+    assert _fresh_python(code).strip() == "False"
 
 
 def test_field_commands_load_no_scipy(tmp_path):
@@ -87,6 +93,27 @@ print(sys.modules["scipy.linalg._flapack"] is _lapack(), scipy.linalg.lapack._fl
       np.allclose(w, exact, rtol=0, atol=1e-14))
 """
     assert _fresh_python(code).split() == ["True", "True", "True"]
+
+
+def test_records_are_immutable():
+    grid = qgwave.Grid2D(8, 9, qgwave.ChannelGeometry(1.0, -1.0, 1.0))
+    wave = qgwave.WaveField(grid, np.ones(grid.shape), np.zeros(grid.shape), 0.0, 0.0)
+    band = qgwave.band_extrema(qgwave.couette(), 1.0)
+    verdict = qgwave.rigidity_predicates(wave)
+    theorem = verdict.applicable_theorems[0]
+    records = [
+        grid, grid.geometry, wave, qgwave.diagnostics(wave), qgwave.classify(wave),
+        verdict, theorem, theorem.hypotheses[0], band, qgwave.CurvePoint(1.0, None, None),
+        qgwave.principal_eigenvalue(band, 2.0, -2.0, want_vector=False),
+        qgwave.Example31Params(), qgwave.GrsParams(), qgwave.JUPITER,
+    ]
+    for record in records:
+        with pytest.raises(AttributeError):
+            setattr(record, record._fields[0], None)
+        with pytest.raises(AttributeError):
+            record.extra = None
+    with pytest.raises(ValueError):
+        wave.u[0, 0] = 0.0
 
 
 def test_classify_is_the_function_after_its_module_is_imported():
