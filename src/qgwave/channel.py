@@ -103,17 +103,26 @@ def _as_field(field, grid: Grid2D) -> np.ndarray:
     return f
 
 
+# (output, east neighbour, west neighbour) column indices of the periodic x
+# stencils: the interior columns as one slice, then the two wrapped columns.
+_X_COLUMNS = ((slice(1, -1), slice(2, None), slice(None, -2)), (0, 1, -1), (-1, 0, -2))
+
+
 def gradient(field, grid: Grid2D):
     """Second-order (f_x, f_y): periodic central in x, one-sided at y walls."""
     f = _as_field(field, grid)
     hx, hy = grid.hx, grid.hy
 
-    fx = (np.roll(f, -1, axis=1) - np.roll(f, 1, axis=1)) / (2.0 * hx)
+    fx = np.empty_like(f)
+    for out, east, west in _X_COLUMNS:
+        np.subtract(f[:, east], f[:, west], out=fx[:, out])
+    fx /= 2.0 * hx
 
     fy = np.empty_like(f)
-    fy[1:-1] = (f[2:] - f[:-2]) / (2.0 * hy)
-    fy[0] = (-3.0 * f[0] + 4.0 * f[1] - f[2]) / (2.0 * hy)
-    fy[-1] = (3.0 * f[-1] - 4.0 * f[-2] + f[-3]) / (2.0 * hy)
+    np.subtract(f[2:], f[:-2], out=fy[1:-1])
+    fy[0] = -3.0 * f[0] + 4.0 * f[1] - f[2]
+    fy[-1] = 3.0 * f[-1] - 4.0 * f[-2] + f[-3]
+    fy /= 2.0 * hy
     return fx, fy
 
 
@@ -122,13 +131,24 @@ def laplacian(field, grid: Grid2D) -> np.ndarray:
     f = _as_field(field, grid)
     hx, hy = grid.hx, grid.hy
 
-    fxx = (np.roll(f, -1, axis=1) - 2.0 * f + np.roll(f, 1, axis=1)) / (hx * hx)
+    # fxx = (f_east - 2 f + f_west) / hx^2, evaluated left to right
+    fxx = np.multiply(f, 2.0)
+    for out, east, west in _X_COLUMNS:
+        col = fxx[:, out]
+        np.subtract(f[:, east], col, out=col)
+        col += f[:, west]
+    fxx /= hx * hx
 
     fyy = np.empty_like(f)
-    fyy[1:-1] = (f[2:] - 2.0 * f[1:-1] + f[:-2]) / (hy * hy)
-    fyy[0] = (2.0 * f[0] - 5.0 * f[1] + 4.0 * f[2] - f[3]) / (hy * hy)
-    fyy[-1] = (2.0 * f[-1] - 5.0 * f[-2] + 4.0 * f[-3] - f[-4]) / (hy * hy)
-    return fxx + fyy
+    inner = fyy[1:-1]
+    np.multiply(f[1:-1], 2.0, out=inner)
+    np.subtract(f[2:], inner, out=inner)
+    inner += f[:-2]
+    fyy[0] = 2.0 * f[0] - 5.0 * f[1] + 4.0 * f[2] - f[3]
+    fyy[-1] = 2.0 * f[-1] - 5.0 * f[-2] + 4.0 * f[-3] - f[-4]
+    fyy /= hy * hy
+    fxx += fyy
+    return fxx
 
 
 class _Wave(NamedTuple):
@@ -178,33 +198,50 @@ class FieldDiagnostics(NamedTuple):
     total_vorticity: np.ndarray
 
 
+def _max_abs(a: np.ndarray) -> float:
+    """max |a|, taking the absolute value in place: a is scratch afterwards."""
+    return float(np.max(np.abs(a, out=a)))
+
+
 def diagnostics(field: WaveField) -> FieldDiagnostics:
-    """Divergence, momentum residual, boundary leakage, and vorticity fields."""
+    """Divergence, momentum residual, boundary leakage, and vorticity fields.
+
+    Each intermediate is reduced as soon as it exists and its buffer is
+    reused, so at most five new field-sized arrays are alive at once.
+    """
     grid = field.grid
     u, v, c, beta = field.u, field.v, field.c, field.beta
 
     ux, uy = gradient(u, grid)
     vx, vy = gradient(v, grid)
-    lap_u = laplacian(u, grid)
+    div_inf = _max_abs(np.add(ux, vy, out=ux))
+    del ux, vy
+    gamma = np.subtract(vx, uy, out=vx)
+    del uy
+    total_vorticity = gamma + beta * grid.y[:, None]
+
+    # residual = (u - c) * lap(v) + v * (beta - lap(u)), built in place
+    residual = u - c
+    speed_inf = float(np.max(np.abs(residual)))
     lap_v = laplacian(v, grid)
+    lap_v_inf = float(np.max(np.abs(lap_v)))
+    residual *= lap_v
+    del lap_v
+    q = laplacian(u, grid)
+    np.subtract(beta, q, out=q)
+    q_inf = float(np.max(np.abs(q)))
+    q *= v
+    residual += q
+    residual_inf = _max_abs(residual)
+    scale = speed_inf * lap_v_inf + float(np.max(np.abs(v))) * q_inf + _EPS
 
-    div = ux + vy
-    residual = (u - c) * lap_v + v * (beta - lap_u)
-    scale = (
-        float(np.max(np.abs(u - c))) * float(np.max(np.abs(lap_v)))
-        + float(np.max(np.abs(v))) * float(np.max(np.abs(beta - lap_u)))
-        + _EPS
-    )
-
-    gamma = vx - uy
-    _, Y = grid.mesh()
     return FieldDiagnostics(
-        div_inf=float(np.max(np.abs(div))),
-        residual_inf=float(np.max(np.abs(residual))),
-        residual_rel=float(np.max(np.abs(residual))) / scale,
+        div_inf=div_inf,
+        residual_inf=residual_inf,
+        residual_rel=residual_inf / scale,
         boundary_v_inf=float(max(np.max(np.abs(v[0])), np.max(np.abs(v[-1])))),
         gamma=gamma,
-        total_vorticity=gamma + beta * Y,
+        total_vorticity=total_vorticity,
     )
 
 
@@ -264,7 +301,7 @@ def field_from_dict(doc: dict) -> WaveField:
         grid = Grid2D(nx, ny, geom)
         u = np.asarray(doc["u"], dtype=float)
         v = np.asarray(doc["v"], dtype=float)
-    except (TypeError, ValueError, DomainError) as exc:
+    except (TypeError, ValueError, OverflowError, DomainError) as exc:
         raise FieldFormatError(f"malformed wave-field document: {exc}") from exc
     if u.shape != (ny, nx) or v.shape != (ny, nx):
         raise FieldFormatError(
@@ -274,7 +311,7 @@ def field_from_dict(doc: dict) -> WaveField:
         raise FieldFormatError("u/v contain NaN or Inf")
     try:
         return WaveField(grid, u, v, float(doc["c"]), float(doc["beta"]))
-    except (TypeError, ValueError, DomainError) as exc:
+    except (TypeError, ValueError, OverflowError, DomainError) as exc:
         raise FieldFormatError(f"malformed wave-field document: {exc}") from exc
 
 
@@ -283,11 +320,88 @@ def write_field(field: WaveField, path) -> None:
         dump_field(field, fh)
 
 
+_DECODER = json.JSONDecoder()
+_skip_ws = json.decoder.WHITESPACE.match
+
+
+def _expect(s: str, i: int, chars: str, what: str) -> str:
+    """The character s[i] if it is one of chars, else the decoder's own error."""
+    ch = s[i:i + 1]
+    if not ch or ch not in chars:
+        raise json.JSONDecodeError(f"Expecting {what}", s, i)
+    return ch
+
+
+def _decode_rows(s: str, i: int):
+    """Decode the JSON array that opens at s[i] one element at a time.
+
+    Each element (a row of u or v) becomes a float64 array as soon as it is
+    decoded; one that does not convert is kept as decoded, so that
+    field_from_dict rejects it as it would the json.loads value.
+    """
+    rows = []
+    i = _skip_ws(s, i + 1).end()
+    if s[i:i + 1] == "]":
+        return rows, i + 1
+    while True:
+        row, i = _DECODER.raw_decode(s, i)
+        try:
+            row = np.asarray(row, dtype=float)
+        except (TypeError, ValueError, OverflowError):
+            pass
+        rows.append(row)
+        i = _skip_ws(s, i).end()
+        if _expect(s, i, ",]", "',' delimiter") == "]":
+            return rows, i + 1
+        i = _skip_ws(s, i + 1).end()
+
+
+def _decode_field_doc(s: str):
+    """json.loads(s), except that the rows of a top-level "u" or "v" array
+    come back as float64 arrays (see _decode_rows).
+
+    The top-level object is walked with the json module's own pieces, so
+    the document is accepted or rejected exactly as json.loads would.
+    """
+    i = _skip_ws(s, 0).end()
+    if s[i:i + 1] != "{":
+        return _DECODER.decode(s)
+    doc = {}
+    i = _skip_ws(s, i + 1).end()
+    if s[i:i + 1] == "}":
+        i += 1
+    else:
+        while True:
+            _expect(s, i, '"', "property name enclosed in double quotes")
+            key, i = json.decoder.scanstring(s, i + 1)
+            i = _skip_ws(s, i).end()
+            _expect(s, i, ":", "':' delimiter")
+            i = _skip_ws(s, i + 1).end()
+            if key in ("u", "v") and s[i:i + 1] == "[":
+                doc[key], i = _decode_rows(s, i)
+            else:
+                doc[key], i = _DECODER.raw_decode(s, i)
+            i = _skip_ws(s, i).end()
+            if _expect(s, i, ",}", "',' delimiter") == "}":
+                break
+            i = _skip_ws(s, i + 1).end()
+        i += 1
+    i = _skip_ws(s, i).end()
+    if i != len(s):
+        raise json.JSONDecodeError("Extra data", s, i)
+    return doc
+
+
 def read_field(path) -> WaveField:
+    """Read a wave-field file; every malformed one raises FieldFormatError.
+
+    The text is read once and decoded row by row (_decode_field_doc), and
+    it is dropped before the rows are stacked into u and v.
+    """
     try:
         with open(path, "r", encoding="ascii") as fh:
-            doc = json.load(fh)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+            doc = _decode_field_doc(fh.read())
+    except (OSError, ValueError, RecursionError) as exc:
         raise FieldFormatError(f"cannot read wave-field file {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise FieldFormatError("wave-field file must hold a JSON object")

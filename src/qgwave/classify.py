@@ -123,25 +123,24 @@ class ClassificationReport(NamedTuple):
 
 
 def _tolerances(field: WaveField, eps_scale: float):
+    """Level-set tolerances from the derivative sup norms of u.
+
+    Each second and third derivative is reduced to its max as soon as it
+    exists, so only grad_mag and lap_u are kept.
+    """
     grid = field.grid
     u = field.u
     h_max = max(grid.hx, grid.hy)
 
     ux, uy = gradient(u, grid)
     grad_mag = np.hypot(ux, uy)
-
-    uxx, uxy = gradient(ux, grid)
-    uyx, uyy = gradient(uy, grid)
-    second = max(
-        float(np.max(np.abs(uxx))),
-        float(np.max(np.abs(uxy))),
-        float(np.max(np.abs(uyx))),
-        float(np.max(np.abs(uyy))),
-    )
+    # max |.| of u_xx, u_xy, u_yx, u_yy, one gradient pair alive at a time
+    second = max(float(np.max(np.abs(d, out=d))) for f in (ux, uy) for d in gradient(f, grid))
+    del ux, uy
 
     lap_u = laplacian(u, grid)
     qx, qy = gradient(lap_u, grid)
-    third = float(np.max(np.hypot(qx, qy)))
+    third = float(np.max(np.hypot(qx, qy, out=qx)))
 
     eps_c = eps_scale * h_max * float(np.max(grad_mag))
     eps_g = eps_scale * h_max * second
@@ -166,10 +165,12 @@ def classify(field: WaveField, eps_scale: float = DEFAULT_EPS_SCALE) -> Classifi
     cbp = c_beta_plus(beta, grid.geometry.d_minus, grid.geometry.d_plus, u_min, u_max)
 
     tiny = np.finfo(float).tiny
-    speed_gap = np.abs(u - c)
-    quantity = np.abs(beta - lap_u)
-    level_u = _level_mask(u - c, eps_c)
-    level_q = _level_mask(beta - lap_u, eps_q)
+    speed_gap = u - c
+    level_u = _level_mask(speed_gap, eps_c)
+    np.abs(speed_gap, out=speed_gap)
+    quantity = np.subtract(beta, lap_u, out=lap_u)  # beta - lap u, in lap_u's buffer
+    level_q = _level_mask(quantity, eps_q)
+    np.abs(quantity, out=quantity)
 
     inflection_mask = level_u & level_q
     category_inflection = bool(np.any(inflection_mask))

@@ -51,12 +51,24 @@ from .flows import (
 from .planets import PLANETS, beta_plane_params, jupiter_band_case, saturn_polar_case
 from .profiles import band_extrema, parse_profile
 
-_USAGE_ERRORS = (ProfileSpecError, FieldFormatError)
+
+class _CannotWrite(Exception):
+    """An -o path that cannot be opened for writing: a usage error."""
+
+
+_USAGE_ERRORS = (ProfileSpecError, FieldFormatError, _CannotWrite)
 _SCIENCE_ERRORS = (DomainError, ConvergenceError, DivergenceError, NoRootError)
 
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
+
+
+def _open_output(path):
+    try:
+        return open(path, "w", encoding="ascii")
+    except OSError as exc:
+        raise _CannotWrite(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _band(args):
@@ -207,6 +219,7 @@ def _example_field(args):
 def _cmd_example(args):
     wf = _example_field(args)
     if args.output:
+        _open_output(args.output).close()  # an unopenable path is a usage error
         write_field(wf, args.output)
     else:
         dump_field(wf, sys.stdout)
@@ -371,6 +384,17 @@ def run(args) -> int:
     """Run one parsed invocation and write its output: the one place that emits."""
     try:
         out = _DISPATCH[args.subcommand](args)
+        if out is None:
+            return 0
+        payload, text = out
+        if getattr(args, "json", False):
+            doc = {"meta": {"tool": "qgwave", "version": __version__}, **payload}
+            text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        if args.output:
+            with _open_output(args.output) as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
     except _USAGE_ERRORS as exc:
         sys.stderr.write(f"qgwave: {exc}\n")
         return 2
@@ -383,17 +407,6 @@ def run(args) -> int:
             detail["last_iterates"] = [list(t) for t in exc.last_iterates]
         sys.stderr.write(json.dumps(detail, sort_keys=True) + "\n")
         return 1
-    if out is None:
-        return 0
-    payload, text = out
-    if getattr(args, "json", False):
-        doc = {"meta": {"tool": "qgwave", "version": __version__}, **payload}
-        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    if args.output:
-        with open(args.output, "w", encoding="ascii") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     return 0
 
 

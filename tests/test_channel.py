@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from qgwave import (
     Grid2D,
     ShapeError,
     WaveField,
+    classify,
     diagnostics,
     field_from_dict,
     field_to_dict,
@@ -327,3 +329,185 @@ class TestStreamedWriter:
         assert capsys.readouterr().out == ""
         assert path.read_bytes() == out.encode("ascii")
         assert out.encode("ascii") == _json_dumps_bytes(read_field(path))
+
+
+def _same_bits(a, b):
+    """Equal arrays of float64, -0.0 told apart from 0.0."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def _small_doc():
+    """A small field document whose values are short, with one -0.0."""
+    grid = std_grid(nx=8, ny=9)
+    X, Y = grid.mesh()
+    u = np.round(np.sin(X) * Y, 2)
+    u[0, 0] = -0.0
+    return field_to_dict(WaveField(grid, u, np.round(np.cos(X) * (1 - Y**2), 2), c=0.25, beta=1.5))
+
+
+def _read_text(tmp_path, text):
+    path = tmp_path / "field.json"
+    path.write_bytes(text.encode("ascii") if isinstance(text, str) else text)
+    return read_field(path)
+
+
+def _variants():
+    """Well-formed documents written in other ways than the writer's."""
+    doc = _small_doc()
+    plain = json.dumps(doc, sort_keys=True)
+    int_rows = dict(doc, u=[[0, 1, -2, 2**53 + 1, 10**20, True, 6, 7]] + doc["u"][1:])
+    ws = plain.replace(", ", " ,\t\r\n ").replace(": ", "\n:\n ")
+    return {
+        "indent": json.dumps(doc, indent=2),
+        "reversed-keys": json.dumps(dict(reversed(list(doc.items())))),
+        "extra-key": json.dumps({"note": "x", "extra": [[1, 2], {"a": None}], **doc}),
+        "duplicate-c": plain[:-1] + ', "c": 0.75}',
+        "duplicate-u": '{"u": 3, ' + plain[1:],
+        "integer-entries": json.dumps(int_rows),
+        "compact": json.dumps(doc, separators=(",", ":")),
+        "whitespace": " \n" + ws + "\r\n\t ",
+        "empty-rows-key": json.dumps({"w": [], **doc}),
+    }
+
+
+def _malformed():
+    """Documents that json.loads or field_from_dict rejects."""
+    doc = _small_doc()
+    plain = json.dumps(doc, sort_keys=True)
+    row0 = json.dumps(doc["u"][0])
+    return {
+        "trailing-data": plain + " {}",
+        "missing-row-comma": plain.replace("], [", "] [", 1),
+        "ragged-rows": json.dumps(dict(doc, u=[doc["u"][0][:-1]] + doc["u"][1:])),
+        "nested-row": json.dumps(dict(doc, u=[[doc["u"][0]]] + doc["u"][1:])),
+        "top-level-array": "[" + plain + "]",
+        "u-scalar": json.dumps(dict(doc, u=3)),
+        "non-ascii": plain.encode("ascii").replace(b'"beta"', b'"b\xc3\xa9ta"'),
+        "string-row": json.dumps(dict(doc, u=["x"] * 9)),
+        "object-entry": json.dumps(dict(doc, u=[[{}] * 8] * 9)),
+        "null-entry": plain.replace(row0, "[null" + row0[row0.index(","):], 1),
+        "huge-integer": plain.replace(row0, "[1" + "0" * 400 + row0[row0.index(","):], 1),
+        "deep-row": plain.replace(row0, "[" * 100000 + "]" * 100000, 1),
+        "trailing-comma": plain[:-1] + ",}",
+        "missing-colon": plain.replace('"c": ', '"c" ', 1),
+        "unquoted-key": plain.replace('"c"', "c", 1),
+        "empty": "",
+    }
+
+
+class TestReaderConformance:
+    """read_field decodes u and v row by row, but must agree with
+    field_from_dict(json.loads(text)) on every document."""
+
+    @pytest.mark.parametrize("name", sorted(_variants()))
+    def test_variant_matches_json_loads(self, tmp_path, name):
+        text = _variants()[name]
+        want = field_from_dict(json.loads(text))
+        got = _read_text(tmp_path, text)
+        assert got.grid == want.grid
+        assert _same_bits([got.c, got.beta], [want.c, want.beta])
+        assert _same_bits(got.u, want.u) and _same_bits(got.v, want.v)
+        assert got.u.dtype == np.float64 and not got.u.flags.writeable
+
+    def test_variants_keep_negative_zero_and_last_duplicate(self, tmp_path):
+        variants = _variants()
+        assert np.signbit(_read_text(tmp_path, variants["compact"]).u[0, 0])
+        assert _read_text(tmp_path, variants["duplicate-c"]).c == 0.75
+
+    def test_every_strict_prefix_is_rejected(self, tmp_path):
+        text = json.dumps(_small_doc(), sort_keys=True)
+        for end in range(len(text)):
+            with pytest.raises(FieldFormatError):
+                _read_text(tmp_path, text[:end])
+
+    @pytest.mark.parametrize("name", sorted(_malformed()))
+    def test_malformed_raises_field_format_error(self, tmp_path, name):
+        data = _malformed()[name]
+        data = data.encode("ascii") if isinstance(data, str) else data
+        with pytest.raises(Exception):  # the json.loads route rejects it too
+            doc = json.loads(data.decode("ascii"))
+            if not isinstance(doc, dict):
+                raise TypeError("not an object")
+            field_from_dict(doc)
+        with pytest.raises(FieldFormatError):
+            _read_text(tmp_path, data)
+
+
+def _roll_gradient(f, grid):
+    """gradient as it was written with np.roll: the bit-for-bit oracle."""
+    hx, hy = grid.hx, grid.hy
+    fx = (np.roll(f, -1, axis=1) - np.roll(f, 1, axis=1)) / (2.0 * hx)
+    fy = np.empty_like(f)
+    fy[1:-1] = (f[2:] - f[:-2]) / (2.0 * hy)
+    fy[0] = (-3.0 * f[0] + 4.0 * f[1] - f[2]) / (2.0 * hy)
+    fy[-1] = (3.0 * f[-1] - 4.0 * f[-2] + f[-3]) / (2.0 * hy)
+    return fx, fy
+
+
+def _roll_laplacian(f, grid):
+    """laplacian as it was written with np.roll: the bit-for-bit oracle."""
+    hx, hy = grid.hx, grid.hy
+    fxx = (np.roll(f, -1, axis=1) - 2.0 * f + np.roll(f, 1, axis=1)) / (hx * hx)
+    fyy = np.empty_like(f)
+    fyy[1:-1] = (f[2:] - 2.0 * f[1:-1] + f[:-2]) / (hy * hy)
+    fyy[0] = (2.0 * f[0] - 5.0 * f[1] + 4.0 * f[2] - f[3]) / (hy * hy)
+    fyy[-1] = (2.0 * f[-1] - 5.0 * f[-2] + 4.0 * f[-3] - f[-4]) / (hy * hy)
+    return fxx + fyy
+
+
+class TestStencilBits:
+    @pytest.mark.parametrize(
+        "nx, ny, L, dm, dp",
+        [(8, 9, 2 * math.pi, -1, 1), (10, 200, 0.3, -5, 7), (64, 65, 17.0, 0, 1e-3),
+         (256, 129, 2 * math.pi, -1, 1), (1000, 11, 4.0, -2, 2)],
+    )
+    def test_match_roll_oracle(self, nx, ny, L, dm, dp):
+        grid = Grid2D(nx, ny, ChannelGeometry(L, dm, dp))
+        rng = np.random.default_rng(nx * ny)
+        fields = [
+            rng.standard_normal(grid.shape) * 10.0 ** rng.uniform(-300, 300, (ny, 1)),
+            np.round(rng.standard_normal(grid.shape), 1) * -0.0,
+            make_inflection_wave(Example31Params(A_tilde=0.3, B=0.2), grid).u
+            if (L, dm, dp) == (2 * math.pi, -1, 1) else rng.uniform(-1, 1, grid.shape),
+        ]
+        for f in fields:
+            fx, fy = gradient(f, grid)
+            ox, oy = _roll_gradient(f, grid)
+            assert _same_bits(fx, ox) and _same_bits(fy, oy)
+            assert _same_bits(laplacian(f, grid), _roll_laplacian(f, grid))
+
+
+def _traced_peak(fn):
+    """Peak bytes that tracemalloc sees allocated while fn() runs."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+class TestFieldMemory:
+    """Peak allocations of the field commands on a 256x129 ex31 field."""
+
+    @pytest.fixture(scope="class")
+    def ex31(self, tmp_path_factory):
+        wf = make_inflection_wave(Example31Params(A_tilde=0.3, B=0.2, c=0.1), std_grid(256, 129))
+        path = tmp_path_factory.mktemp("mem") / "ex31.json"
+        write_field(wf, path)
+        return wf, path
+
+    def test_read_field_peak_near_twice_the_file(self, ex31):
+        _, path = ex31
+        assert _traced_peak(lambda: read_field(path)) <= 2.1 * path.stat().st_size
+
+    @pytest.mark.parametrize("command", [diagnostics, classify], ids=["diagnostics", "classify"])
+    def test_peak_at_most_eight_field_arrays(self, ex31, command):
+        wf, _ = ex31
+        assert _traced_peak(lambda: command(wf)) <= 8 * wf.u.nbytes

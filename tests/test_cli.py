@@ -366,3 +366,18 @@ class TestUsage:
             )
             assert (code, out) == (2, ""), tol
             assert err.startswith("qgwave: --tol must be "), tol
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("example", "--name", "ex31", "--nx", "16", "--ny", "17"),
+            ("planet", "--name", "jupiter", "--theta0", "38"),
+        ],
+        ids=["example", "planet"],
+    )
+    def test_unwritable_output_exits_2(self, capsys, tmp_path, argv):
+        path = tmp_path / "missing" / "out"
+        code, out, err = run_cli(capsys, *argv, "-o", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"qgwave: cannot write {path}: No such file or directory\n"
+        assert not path.parent.exists()
