@@ -25,10 +25,9 @@ from .classify import classify
 _EXPORTS = {
     "channel": "ChannelGeometry FieldDiagnostics Grid2D WaveField diagnostics field_from_dict "
     "field_to_dict gradient laplacian read_field write_field",
-    "classify": "ClassificationReport RigidityVerdict c_beta_plus classify "
-    "profile_rigidity_bound rigidity_predicates",
+    "classify": "ClassificationReport RigidityVerdict c_beta_plus classify profile_rigidity_bound",
     "eigen": "CurvePoint EigenResult boundary_curve critical_beta lambda_inf_over_c "
-    "principal_eigenvalue scaling_check wave_speed_root",
+    "principal_eigenvalue wave_speed_root",
     "errors": "ConvergenceError DivergenceError DomainError FieldFormatError NoRootError "
     "ProfileSpecError QgwaveError ShapeError UnsupportedSingularityError",
     "flows": "KOLMOGOROV_PERIOD MIN_CRITICAL_BETA0 Example31Params GrsParams make_grs_vortex "

@@ -7,7 +7,8 @@ or a speed in [c_beta_plus, u_min) below the range of u.  With beta = 0 only
 the inflection category survives.  Exact zero-set intersections are
 undecidable on a grid, so level sets are detected by sign changes across
 grid edges together with scaled node tolerances, and every witness node is
-reported so the verdict can be audited.
+reported so the verdict can be audited.  The same derivatives of u decide,
+hypothesis by hypothesis, whether a rigidity theorem forces a shear flow.
 """
 
 import math
@@ -60,168 +61,26 @@ def _level_mask(f: np.ndarray, eps: float) -> np.ndarray:
     return mask
 
 
-def _witnesses(mask: np.ndarray, grid: Grid2D, score: np.ndarray):
-    """Strongest witness nodes first: smallest score = most convincing."""
-    idx = np.argwhere(mask)
-    count = int(idx.shape[0])
-    if count:
-        order = np.argsort(score[mask], kind="stable")[:_MAX_WITNESSES]
-        idx = idx[order]
+def _witnesses(mask: np.ndarray, grid: Grid2D, first, eps_first, second, eps_second):
+    """Strongest witness nodes first: smallest first/eps_first + second/eps_second.
+
+    Scored at the masked nodes only, in row-major order, so ties keep it.
+    """
+    at = np.flatnonzero(mask)
+    tiny = np.finfo(float).tiny
+    score = np.take(first, at)
+    score /= eps_first + tiny
+    part = np.take(second, at)
+    part /= eps_second + tiny
+    score += part
+    del part
+    best = at[np.argsort(score, kind="stable")[:_MAX_WITNESSES]]
     xs, ys = grid.x, grid.y
     out = tuple(
-        {"iy": int(j), "ix": int(i), "x": float(xs[i]), "y": float(ys[j])}
-        for j, i in idx[:_MAX_WITNESSES]
+        {"iy": j, "ix": i, "x": float(xs[i]), "y": float(ys[j])}
+        for j, i in (divmod(int(k), grid.nx) for k in best)
     )
-    return out, count
-
-
-class ClassificationReport(NamedTuple):
-    """Per-category verdicts with the numerical evidence behind each.
-
-    theorem_consistent asserts what the classification theorem demands: a
-    genuine wave with beta > 0 must land in at least one category, and a
-    genuine wave with beta = 0 must have an inflection-value speed.  It is
-    vacuously true for shear flows.
-    """
-
-    genuine: bool
-    v_max: float
-    u_min: float
-    u_max: float
-    c: float
-    beta: float
-    c_beta_plus: float
-    category_inflection: bool
-    inflection_witnesses: tuple
-    inflection_count: int
-    category_critical: bool
-    critical_witnesses: tuple
-    critical_count: int
-    category_extremum: bool
-    category_outside: bool
-    eps_scale: float
-    eps_c: float
-    eps_g: float
-    eps_q: float
-    h_max: float
-    theorem_consistent: bool
-
-    def categories(self) -> tuple:
-        cats = []
-        if self.category_inflection:
-            cats.append("inflection")
-        if self.category_critical:
-            cats.append("critical")
-        if self.category_extremum:
-            cats.append("extremum")
-        if self.category_outside:
-            cats.append("outside")
-        return tuple(cats)
-
-    def to_dict(self) -> dict:
-        return {**self._asdict(), "categories": list(self.categories())}
-
-
-def _tolerances(field: WaveField, eps_scale: float):
-    """Level-set tolerances from the derivative sup norms of u.
-
-    Each second and third derivative is reduced to its max as soon as it
-    exists, so only grad_mag and lap_u are kept.
-    """
-    grid = field.grid
-    u = field.u
-    h_max = max(grid.hx, grid.hy)
-
-    ux, uy = gradient(u, grid)
-    grad_mag = np.hypot(ux, uy)
-    # max |.| of u_xx, u_xy, u_yx, u_yy, one gradient pair alive at a time
-    second = max(float(np.max(np.abs(d, out=d))) for f in (ux, uy) for d in gradient(f, grid))
-    del ux, uy
-
-    lap_u = laplacian(u, grid)
-    qx, qy = gradient(lap_u, grid)
-    third = float(np.max(np.hypot(qx, qy, out=qx)))
-
-    eps_c = eps_scale * h_max * float(np.max(grad_mag))
-    eps_g = eps_scale * h_max * second
-    eps_q = eps_scale * h_max * third
-    return h_max, grad_mag, lap_u, eps_c, eps_g, eps_q
-
-
-def classify(field: WaveField, eps_scale: float = DEFAULT_EPS_SCALE) -> ClassificationReport:
-    """Evaluate every wave-speed category of the classification theorem."""
-    if not (eps_scale > 0):
-        raise DomainError(f"eps_scale must be positive, got {eps_scale}")
-    grid = field.grid
-    u, v, c, beta = field.u, field.v, field.c, field.beta
-
-    h_max, grad_mag, lap_u, eps_c, eps_g, eps_q = _tolerances(field, eps_scale)
-
-    v_max = float(np.max(np.abs(v)))
-    u_min = float(np.min(u))
-    u_max = float(np.max(u))
-    genuine = v_max > GENUINE_REL_TOL * (1.0 + float(np.max(np.abs(u))))
-
-    cbp = c_beta_plus(beta, grid.geometry.d_minus, grid.geometry.d_plus, u_min, u_max)
-
-    tiny = np.finfo(float).tiny
-    speed_gap = u - c
-    level_u = _level_mask(speed_gap, eps_c)
-    np.abs(speed_gap, out=speed_gap)
-    quantity = np.subtract(beta, lap_u, out=lap_u)  # beta - lap u, in lap_u's buffer
-    level_q = _level_mask(quantity, eps_q)
-    np.abs(quantity, out=quantity)
-
-    inflection_mask = level_u & level_q
-    category_inflection = bool(np.any(inflection_mask))
-    inflection_witnesses, inflection_count = _witnesses(
-        inflection_mask, grid, speed_gap / (eps_c + tiny) + quantity / (eps_q + tiny)
-    )
-
-    critical_mask = level_u & (grad_mag <= eps_g)
-    category_critical = bool(np.any(critical_mask))
-    critical_witnesses, critical_count = _witnesses(
-        critical_mask, grid, speed_gap / (eps_c + tiny) + grad_mag / (eps_g + tiny)
-    )
-
-    category_extremum = abs(c - u_min) <= eps_c or abs(c - u_max) <= eps_c
-
-    # Half-open with tolerance: the theorem states c in [c_beta_plus, u_min),
-    # with u_min itself excluded.
-    category_outside = (cbp - eps_c) <= c < (u_min - eps_c)
-
-    if not genuine:
-        theorem_consistent = True
-    elif beta > 0:
-        theorem_consistent = (
-            category_inflection or category_critical or category_extremum or category_outside
-        )
-    else:
-        theorem_consistent = category_inflection
-
-    return ClassificationReport(
-        genuine=genuine,
-        v_max=v_max,
-        u_min=u_min,
-        u_max=u_max,
-        c=c,
-        beta=beta,
-        c_beta_plus=cbp,
-        category_inflection=category_inflection,
-        inflection_witnesses=inflection_witnesses,
-        inflection_count=inflection_count,
-        category_critical=category_critical,
-        critical_witnesses=critical_witnesses,
-        critical_count=critical_count,
-        category_extremum=category_extremum,
-        category_outside=category_outside,
-        eps_scale=eps_scale,
-        eps_c=eps_c,
-        eps_g=eps_g,
-        eps_q=eps_q,
-        h_max=h_max,
-        theorem_consistent=theorem_consistent,
-    )
+    return out, int(at.size)
 
 
 class HypothesisCheck(NamedTuple):
@@ -259,57 +118,115 @@ class RigidityVerdict(NamedTuple):
         }
 
 
-def _directional_margin(grad: tuple, grid: Grid2D, eps_scale: float) -> float:
+class ClassificationReport(NamedTuple):
+    """Per-category verdicts with the numerical evidence behind each.
+
+    theorem_consistent asserts what the classification theorem demands: a
+    genuine wave with beta > 0 must land in at least one category, and a
+    genuine wave with beta = 0 must have an inflection-value speed.  It is
+    vacuously true for shear flows.  rigidity is the rigidity theorems'
+    verdict from the same derivatives of u.
+    """
+
+    genuine: bool
+    v_max: float
+    u_min: float
+    u_max: float
+    c: float
+    beta: float
+    c_beta_plus: float
+    category_inflection: bool
+    inflection_witnesses: tuple
+    inflection_count: int
+    category_critical: bool
+    critical_witnesses: tuple
+    critical_count: int
+    category_extremum: bool
+    category_outside: bool
+    eps_scale: float
+    eps_c: float
+    eps_g: float
+    eps_q: float
+    h_max: float
+    theorem_consistent: bool
+    rigidity: RigidityVerdict
+
+    def categories(self) -> tuple:
+        cats = []
+        if self.category_inflection:
+            cats.append("inflection")
+        if self.category_critical:
+            cats.append("critical")
+        if self.category_extremum:
+            cats.append("extremum")
+        if self.category_outside:
+            cats.append("outside")
+        return tuple(cats)
+
+    def to_dict(self) -> dict:
+        return {
+            **self._asdict(),
+            "rigidity": self.rigidity.to_dict(),
+            "categories": list(self.categories()),
+        }
+
+
+def _directional_margin(fx: np.ndarray, fy: np.ndarray, grid: Grid2D, eps_scale: float) -> float:
     """Uncertainty of extending nodal extrema of f to the continuum band.
 
     Half-cell quantization per axis, weighted by the directional slopes
-    grad = gradient(f, grid), so fields that vary only in y are not penalized
-    for a coarse x spacing.
+    (fx, fy) = gradient(f, grid), so fields that vary only in y are not
+    penalized for a coarse x spacing.
     """
-    fx, fy = grad
-    return (
-        eps_scale
-        * 0.5
-        * (grid.hx * float(np.max(np.abs(fx))) + grid.hy * float(np.max(np.abs(fy))))
-    )
+    # max |f| as max(max f, -min f): the same bits, and no full-size temporary
+    sup_x, sup_y = (max(float(np.max(f)), -float(np.min(f))) for f in (fx, fy))
+    return eps_scale * 0.5 * (grid.hx * sup_x + grid.hy * sup_y)
 
 
-def rigidity_predicates(field: WaveField, eps_scale: float = DEFAULT_EPS_SCALE) -> RigidityVerdict:
-    """Check the rigidity sufficient conditions on a discrete field.
+def _tolerances(field: WaveField, eps_scale: float):
+    """Level-set tolerances and rigidity evidence from one pass over u's derivatives.
 
-    Ran(lap u) is taken over interior rows only, where the centered stencils
-    apply; the two one-sided boundary rows are noisier and the hypotheses
-    concern open-set behavior.
+    Each derivative is reduced as soon as it exists, so only grad_mag and
+    lap_u are kept.  Ran(lap u) is taken over interior rows only, where the
+    centered stencils apply.
     """
     grid = field.grid
-    u, c, beta = field.u, field.c, field.beta
+    u = field.u
+    h_max = max(grid.hx, grid.hy)
 
-    grad_u = gradient(u, grid)
-    grad_mag = np.hypot(*grad_u)
-    lap_u = laplacian(u, grid)
-    eps_c = _directional_margin(grad_u, grid, eps_scale)
-    eps_g = _directional_margin(gradient(grad_mag, grid), grid, eps_scale)
-    eps_q = _directional_margin(gradient(lap_u, grid), grid, eps_scale)
-
-    lap_int = lap_u[1:-1]
-    lap_min = float(np.min(lap_int))
-    lap_max = float(np.max(lap_int))
+    ux, uy = gradient(u, grid)
+    margin_c = _directional_margin(ux, uy, grid, eps_scale)
+    grad_mag = np.hypot(ux, uy)
+    # max |.| of u_xx, u_xy, u_yx, u_yy; the inner generator ends, and drops
+    # its last array, before the next gradient pair is made
+    second = max(max(float(np.max(np.abs(d, out=d))) for d in gradient(f, grid)) for f in (ux, uy))
+    del ux, uy
+    margin_g = _directional_margin(*gradient(grad_mag, grid), grid, eps_scale)
     grad_min = float(np.min(grad_mag))
-    u_min = float(np.min(u))
-    u_max = float(np.max(u))
-    cbp = c_beta_plus(beta, grid.geometry.d_minus, grid.geometry.d_plus, u_min, u_max)
 
+    lap_u = laplacian(u, grid)
+    lap_min = float(np.min(lap_u[1:-1]))
+    lap_max = float(np.max(lap_u[1:-1]))
+    qx, qy = gradient(lap_u, grid)
+    margin_q = _directional_margin(qx, qy, grid, eps_scale)
+    third = float(np.max(np.hypot(qx, qy, out=qx)))
+
+    eps_c = eps_scale * h_max * float(np.max(grad_mag))
+    eps_g = eps_scale * h_max * second
+    eps_q = eps_scale * h_max * third
+    evidence = (lap_min, lap_max, grad_min, margin_c, margin_g, margin_q)
+    return h_max, grad_mag, lap_u, eps_c, eps_g, eps_q, evidence
+
+
+def _verdict(beta, c, cbp, u_min, lap_min, lap_max, grad_min, eps_c, eps_g, eps_q):
+    """The rigidity theorems, hypothesis by hypothesis, from classify's evidence."""
     beta_outside_ran = HypothesisCheck(
         "beta outside Ran(lap u) with margin",
         beta < lap_min - eps_q or beta > lap_max + eps_q,
         {"beta": beta, "lap_u_min": lap_min, "lap_u_max": lap_max, "margin": eps_q},
     )
-    beta_positive = HypothesisCheck(
-        "beta > 0", beta > 0.0, {"beta": beta}
-    )
-    beta_zero = HypothesisCheck(
-        "beta = 0", beta == 0.0, {"beta": beta}
-    )
+    beta_positive = HypothesisCheck("beta > 0", beta > 0.0, {"beta": beta})
+    beta_zero = HypothesisCheck("beta = 0", beta == 0.0, {"beta": beta})
     speed_gap = HypothesisCheck(
         "c outside [c_beta_plus, u_min] with margin",
         c < cbp - eps_c or c > u_min + eps_c,
@@ -350,6 +267,82 @@ def rigidity_predicates(field: WaveField, eps_scale: float = DEFAULT_EPS_SCALE) 
         check("sign_definite_laplacian_f_plane", [beta_zero, lap_nonzero]),
     )
     return RigidityVerdict(applicable_theorems=theorems)
+
+
+def classify(field: WaveField, eps_scale: float = DEFAULT_EPS_SCALE) -> ClassificationReport:
+    """Evaluate every wave-speed category of the classification theorem."""
+    if not (eps_scale > 0):
+        raise DomainError(f"eps_scale must be positive, got {eps_scale}")
+    grid = field.grid
+    u, v, c, beta = field.u, field.v, field.c, field.beta
+
+    h_max, grad_mag, lap_u, eps_c, eps_g, eps_q, evidence = _tolerances(field, eps_scale)
+
+    v_max = float(np.max(np.abs(v)))
+    u_min = float(np.min(u))
+    u_max = float(np.max(u))
+    genuine = v_max > GENUINE_REL_TOL * (1.0 + float(np.max(np.abs(u))))
+
+    cbp = c_beta_plus(beta, grid.geometry.d_minus, grid.geometry.d_plus, u_min, u_max)
+
+    speed_gap = u - c
+    level_u = _level_mask(speed_gap, eps_c)
+    np.abs(speed_gap, out=speed_gap)
+    quantity = np.subtract(beta, lap_u, out=lap_u)  # beta - lap u, in lap_u's buffer
+    level_q = _level_mask(quantity, eps_q)
+    np.abs(quantity, out=quantity)
+
+    inflection_mask = level_u & level_q
+    category_inflection = bool(np.any(inflection_mask))
+    inflection_witnesses, inflection_count = _witnesses(
+        inflection_mask, grid, speed_gap, eps_c, quantity, eps_q
+    )
+
+    critical_mask = level_u & (grad_mag <= eps_g)
+    category_critical = bool(np.any(critical_mask))
+    critical_witnesses, critical_count = _witnesses(
+        critical_mask, grid, speed_gap, eps_c, grad_mag, eps_g
+    )
+
+    category_extremum = abs(c - u_min) <= eps_c or abs(c - u_max) <= eps_c
+
+    # Half-open with tolerance: the theorem states c in [c_beta_plus, u_min),
+    # with u_min itself excluded.
+    category_outside = (cbp - eps_c) <= c < (u_min - eps_c)
+
+    if not genuine:
+        theorem_consistent = True
+    elif beta > 0:
+        theorem_consistent = (
+            category_inflection or category_critical or category_extremum or category_outside
+        )
+    else:
+        theorem_consistent = category_inflection
+
+    return ClassificationReport(
+        genuine=genuine,
+        v_max=v_max,
+        u_min=u_min,
+        u_max=u_max,
+        c=c,
+        beta=beta,
+        c_beta_plus=cbp,
+        category_inflection=category_inflection,
+        inflection_witnesses=inflection_witnesses,
+        inflection_count=inflection_count,
+        category_critical=category_critical,
+        critical_witnesses=critical_witnesses,
+        critical_count=critical_count,
+        category_extremum=category_extremum,
+        category_outside=category_outside,
+        eps_scale=eps_scale,
+        eps_c=eps_c,
+        eps_g=eps_g,
+        eps_q=eps_q,
+        h_max=h_max,
+        theorem_consistent=theorem_consistent,
+        rigidity=_verdict(beta, c, cbp, u_min, *evidence),
+    )
 
 
 def profile_rigidity_bound(profile: ShearProfile, d: float, beta: float):

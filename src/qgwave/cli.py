@@ -157,10 +157,12 @@ def _cmd_curve(args):
 def _cmd_classify(args):
     report = classify(read_field(args.field), eps_scale=args.eps_scale)
     cats = ", ".join(report.categories()) or "none"
+    shear = [t.name for t in report.rigidity.applicable_theorems if t.conclusion == "shear flow"]
     text = (
         f"genuine = {report.genuine} (max|v| = {_fmt(report.v_max)})\n"
         f"categories: {cats}\n"
         f"theorem_consistent = {report.theorem_consistent}\n"
+        f"rigidity: {', '.join(shear) or 'none'}\n"
     )
     return report.to_dict(), text
 

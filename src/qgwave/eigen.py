@@ -450,32 +450,3 @@ def boundary_curve(
         return CurvePoint(float(beta_val), lam, L_crit)
 
     return [solve_point(b) for b in np.linspace(beta_min, beta_max, n)]
-
-
-def scaling_check(
-    band: ProfileOnBand, a: float, beta: float, c: float, tol: float = DEFAULT_EIGEN_TOL
-):
-    """Both sides of lambda1(beta, c; a*u0) = lambda1(beta/a, c/a; u0).
-
-    Evaluated independently (scaled profile vs scaled parameters) on the
-    same grid ladder.  Requires 0 < a <= 1 and c <= a * u0_min.
-    """
-    from .profiles import band_extrema
-
-    if not (0.0 < a <= 1.0):
-        raise DomainError(f"scale factor must lie in (0, 1], got {a}")
-    scaled_band = band_extrema(band.profile.scaled(a), band.d)
-    if c > scaled_band.u0_min:
-        raise DomainError(
-            f"wave speed c={c} exceeds the scaled profile minimum {scaled_band.u0_min}"
-        )
-    lhs = principal_eigenvalue(scaled_band, beta, c, tol=tol, want_vector=False).lambda1
-
-    c_rhs = c / a
-    # c was admissible for a*u0, so c/a is admissible for u0 up to roundoff of
-    # the division; snap the singular endpoint back onto u0_min exactly.
-    if c_rhs > band.u0_min:
-        if c_rhs - band.u0_min <= 1e-12 * max(1.0, abs(band.u0_min)):
-            c_rhs = band.u0_min
-    rhs = principal_eigenvalue(band, beta / a, c_rhs, tol=tol, want_vector=False).lambda1
-    return lhs, rhs

@@ -28,15 +28,6 @@ class ShearProfile:
     def spec(self) -> str:
         raise NotImplementedError
 
-    def scaled(self, a: float) -> "ShearProfile":
-        """Profile a*u0 with derivatives scaled accordingly."""
-        if not (a > 0 and math.isfinite(a)):
-            raise DomainError(f"scale factor must be positive, got {a}")
-        return self._times(a)
-
-    def _times(self, a: float) -> "ShearProfile":
-        return _Scaled(self, a)
-
     def __repr__(self):
         return f"<ShearProfile {self.spec()}>"
 
@@ -70,15 +61,6 @@ class Polynomial(ShearProfile):
     def spec(self):
         return "poly:" + ",".join(f"{c:g}" for c in self.coeffs)
 
-    def _times(self, a):
-        return Polynomial(a * c for c in self.coeffs)
-
-    def __eq__(self, other):
-        return isinstance(other, Polynomial) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(("poly", self.coeffs))
-
 
 class LinearProfile(Polynomial):
     """u0(y) = a*y + b."""
@@ -89,9 +71,6 @@ class LinearProfile(Polynomial):
 
     def spec(self):
         return f"linear:{self.a:g},{self.b:g}"
-
-    def _times(self, a):
-        return LinearProfile(a * self.a, a * self.b)
 
 
 def couette() -> LinearProfile:
@@ -152,21 +131,6 @@ class Kolmogorov(ShearProfile):
 
     def spec(self):
         return "kolmogorov"
-
-
-class _Scaled(ShearProfile):
-    """a * u0 for profiles without a closed-form scaled representative."""
-
-    def __init__(self, inner: ShearProfile, a: float):
-        self.inner = inner
-        self.a = float(a)
-
-    def eval(self, y):
-        u0, u0p, u0pp = self.inner.eval(y)
-        return self.a * u0, self.a * u0p, self.a * u0pp
-
-    def spec(self):
-        return f"scaled:{self.a:g}*({self.inner.spec()})"
 
 
 def parse_profile(spec: str) -> ShearProfile:

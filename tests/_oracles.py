@@ -1,0 +1,183 @@
+"""Independent reference implementations that the tests check qgwave against.
+
+* `rigidity_predicates` evaluates the rigidity theorems with its own stencil
+  pass over u; `classify` must report the same verdict from its single pass.
+* `witnesses` ranks classify's witness nodes from full-size score arrays.
+* `scaled` and `scaling_check` state the eigenvalue scaling identity
+  lambda1(beta, c; a*u0) = lambda1(beta/a, c/a; u0).
+"""
+
+import math
+
+import numpy as np
+
+from qgwave import DomainError, LinearProfile, Polynomial, band_extrema, principal_eigenvalue
+from qgwave.channel import gradient, laplacian
+from qgwave.classify import (
+    _MAX_WITNESSES,
+    DEFAULT_EPS_SCALE,
+    HypothesisCheck,
+    RigidityVerdict,
+    TheoremCheck,
+    _level_mask,
+    c_beta_plus,
+)
+from qgwave.eigen import DEFAULT_EIGEN_TOL
+from qgwave.profiles import ShearProfile
+
+
+def _directional_margin(grad, grid, eps_scale):
+    fx, fy = grad
+    return (
+        eps_scale
+        * 0.5
+        * (grid.hx * float(np.max(np.abs(fx))) + grid.hy * float(np.max(np.abs(fy))))
+    )
+
+
+def rigidity_predicates(field, eps_scale=DEFAULT_EPS_SCALE):
+    """The rigidity sufficient conditions, from a stencil pass of their own.
+
+    Ran(lap u) is taken over interior rows only, where the centered stencils
+    apply.
+    """
+    grid = field.grid
+    u, c, beta = field.u, field.c, field.beta
+
+    grad_u = gradient(u, grid)
+    grad_mag = np.hypot(*grad_u)
+    lap_u = laplacian(u, grid)
+    eps_c = _directional_margin(grad_u, grid, eps_scale)
+    eps_g = _directional_margin(gradient(grad_mag, grid), grid, eps_scale)
+    eps_q = _directional_margin(gradient(lap_u, grid), grid, eps_scale)
+
+    lap_int = lap_u[1:-1]
+    lap_min = float(np.min(lap_int))
+    lap_max = float(np.max(lap_int))
+    grad_min = float(np.min(grad_mag))
+    u_min = float(np.min(u))
+    u_max = float(np.max(u))
+    cbp = c_beta_plus(beta, grid.geometry.d_minus, grid.geometry.d_plus, u_min, u_max)
+
+    beta_outside_ran = HypothesisCheck(
+        "beta outside Ran(lap u) with margin",
+        beta < lap_min - eps_q or beta > lap_max + eps_q,
+        {"beta": beta, "lap_u_min": lap_min, "lap_u_max": lap_max, "margin": eps_q},
+    )
+    beta_positive = HypothesisCheck("beta > 0", beta > 0.0, {"beta": beta})
+    beta_zero = HypothesisCheck("beta = 0", beta == 0.0, {"beta": beta})
+    speed_gap = HypothesisCheck(
+        "c outside [c_beta_plus, u_min] with margin",
+        c < cbp - eps_c or c > u_min + eps_c,
+        {"c": c, "c_beta_plus": cbp, "u_min": u_min, "margin": eps_c},
+    )
+    grad_nonzero = HypothesisCheck(
+        "grad u nonzero everywhere with margin",
+        grad_min > eps_g,
+        {"grad_u_min": grad_min, "margin": eps_g},
+    )
+    lap_positive = HypothesisCheck(
+        "min lap u > 0 with margin",
+        lap_min > eps_q,
+        {"lap_u_min": lap_min, "margin": eps_q},
+    )
+    beta_window = HypothesisCheck(
+        "0 < beta < min lap u",
+        0.0 < beta < lap_min - eps_q,
+        {"beta": beta, "lap_u_min": lap_min, "margin": eps_q},
+    )
+    lap_nonzero = HypothesisCheck(
+        "lap u nonzero everywhere with margin",
+        lap_min > eps_q or lap_max < -eps_q,
+        {"lap_u_min": lap_min, "lap_u_max": lap_max, "margin": eps_q},
+    )
+
+    def check(name, hyps):
+        ok = all(h.satisfied for h in hyps)
+        return TheoremCheck(name, tuple(hyps), "shear flow" if ok else "not applicable")
+
+    theorems = (
+        check(
+            "rayleigh_stable_speed_gap",
+            [beta_positive, beta_outside_ran, speed_gap, grad_nonzero],
+        ),
+        check("rayleigh_stable_f_plane", [beta_zero, beta_outside_ran]),
+        check("positive_vorticity_gradient_window", [lap_positive, beta_window]),
+        check("sign_definite_laplacian_f_plane", [beta_zero, lap_nonzero]),
+    )
+    return RigidityVerdict(applicable_theorems=theorems)
+
+
+def witnesses(field, report):
+    """(inflection, critical) as (witnesses, count): score every node, then mask."""
+    grid, tiny = field.grid, np.finfo(float).tiny
+    grad_mag = np.hypot(*gradient(field.u, grid))
+    quantity = field.beta - laplacian(field.u, grid)
+    speed_gap = field.u - field.c
+    level_u = _level_mask(speed_gap, report.eps_c)
+    cases = (
+        (level_u & _level_mask(quantity, report.eps_q), np.abs(quantity), report.eps_q),
+        (level_u & (grad_mag <= report.eps_g), grad_mag, report.eps_g),
+    )
+    out = []
+    for mask, other, eps in cases:
+        score = np.abs(speed_gap) / (report.eps_c + tiny) + other / (eps + tiny)
+        idx = np.argwhere(mask)
+        order = np.argsort(score[mask], kind="stable")[:_MAX_WITNESSES]
+        nodes = tuple(
+            {"iy": int(j), "ix": int(i), "x": float(grid.x[i]), "y": float(grid.y[j])}
+            for j, i in idx[order]
+        )
+        out.append((nodes, len(idx)))
+    return tuple(out)
+
+
+class _Scaled(ShearProfile):
+    """a * u0 for profiles without a closed-form scaled representative."""
+
+    def __init__(self, inner, a):
+        self.inner = inner
+        self.a = float(a)
+
+    def eval(self, y):
+        u0, u0p, u0pp = self.inner.eval(y)
+        return self.a * u0, self.a * u0p, self.a * u0pp
+
+    def spec(self):
+        return f"scaled:{self.a:g}*({self.inner.spec()})"
+
+
+def scaled(profile, a):
+    """Profile a*u0, closed-form where the profile family allows it."""
+    if not (a > 0 and math.isfinite(a)):
+        raise DomainError(f"scale factor must be positive, got {a}")
+    if isinstance(profile, LinearProfile):
+        return LinearProfile(a * profile.a, a * profile.b)
+    if isinstance(profile, Polynomial):
+        return Polynomial(a * c for c in profile.coeffs)
+    return _Scaled(profile, a)
+
+
+def scaling_check(band, a, beta, c, tol=DEFAULT_EIGEN_TOL):
+    """Both sides of lambda1(beta, c; a*u0) = lambda1(beta/a, c/a; u0).
+
+    Evaluated independently (scaled profile vs scaled parameters) on the
+    same grid ladder.  Requires 0 < a <= 1 and c <= a * u0_min.
+    """
+    if not (0.0 < a <= 1.0):
+        raise DomainError(f"scale factor must lie in (0, 1], got {a}")
+    scaled_band = band_extrema(scaled(band.profile, a), band.d)
+    if c > scaled_band.u0_min:
+        raise DomainError(
+            f"wave speed c={c} exceeds the scaled profile minimum {scaled_band.u0_min}"
+        )
+    lhs = principal_eigenvalue(scaled_band, beta, c, tol=tol, want_vector=False).lambda1
+
+    c_rhs = c / a
+    # c was admissible for a*u0, so c/a is admissible for u0 up to roundoff of
+    # the division; snap the singular endpoint back onto u0_min exactly.
+    if c_rhs > band.u0_min:
+        if c_rhs - band.u0_min <= 1e-12 * max(1.0, abs(band.u0_min)):
+            c_rhs = band.u0_min
+    rhs = principal_eigenvalue(band, beta / a, c_rhs, tol=tol, want_vector=False).lambda1
+    return lhs, rhs

@@ -511,3 +511,10 @@ class TestFieldMemory:
     def test_peak_at_most_eight_field_arrays(self, ex31, command):
         wf, _ = ex31
         assert _traced_peak(lambda: command(wf)) <= 8 * wf.u.nbytes
+
+    def test_classify_grs_peak_at_most_seven_field_arrays(self):
+        # the inflection and critical masks cover most of a GRS field, so the
+        # witness scores must be formed on the masked nodes only
+        grid = Grid2D(256, 129, ChannelGeometry(6.0, -3.0, 3.0))
+        wf = make_grs_vortex(GrsParams(), grid, clip_radius=1.5)
+        assert _traced_peak(lambda: classify(wf)) <= 7 * wf.u.nbytes

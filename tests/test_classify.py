@@ -1,4 +1,4 @@
-"""Wave-speed classification, speed bound, and rigidity predicates."""
+"""Wave-speed classification, speed bound, and the rigidity verdict."""
 
 import importlib
 import json
@@ -17,17 +17,21 @@ from qgwave import (
     WaveField,
     c_beta_plus,
     classify,
+    couette,
     profile_rigidity_bound,
-    rigidity_predicates,
 )
 from qgwave.flows import (
     KOLMOGOROV_PERIOD,
     MIN_CRITICAL_BETA0,
     Example31Params,
+    GrsParams,
+    make_grs_vortex,
     make_inflection_wave,
     make_kolmogorov_perturbed,
     make_min_critical_wave,
 )
+
+from _oracles import rigidity_predicates, witnesses
 
 
 def channel_grid(nx=256, ny=129):
@@ -36,6 +40,30 @@ def channel_grid(nx=256, ny=129):
 
 def kolmogorov_grid(nx=256, ny=129):
     return Grid2D(nx, ny, ChannelGeometry(KOLMOGOROV_PERIOD, -math.pi, math.pi))
+
+
+def shear_field(profile, beta, grid=None, c=0.0):
+    grid = grid or channel_grid(128, 65)
+    _, Y = grid.mesh()
+    u0 = profile.eval(Y[:, 0])[0]
+    u = np.repeat(u0[:, None], grid.nx, axis=1)
+    return WaveField(grid, u, np.zeros(grid.shape), c, beta)
+
+
+# the oracle cases: three genuine waves and four shear flows
+ORACLE_FIELDS = {
+    "ex31": lambda: make_inflection_wave(Example31Params(beta=1.0), channel_grid(128, 65)),
+    "ex32": lambda: make_min_critical_wave(MIN_CRITICAL_BETA0, 0.0, channel_grid(128, 65)),
+    "grs": lambda: make_grs_vortex(
+        GrsParams(), Grid2D(128, 129, ChannelGeometry(4.0, -2.0, 2.0)), clip_radius=1.5
+    ),
+    "poiseuille_window": lambda: shear_field(CouettePoiseuille(0.0), beta=1.0),
+    "f_plane_parabola": lambda: shear_field(Polynomial((0.0, 0.0, 1.0)), beta=0.0, c=-5.0),
+    "couette_speed_gap": lambda: shear_field(couette(), beta=1.0, c=-99.0),
+    "bickley": lambda: shear_field(
+        Bickley(), beta=0.3, grid=Grid2D(128, 65, ChannelGeometry(2 * math.pi, -0.5, 0.5))
+    ),
+}
 
 
 class TestSpeedBound:
@@ -127,6 +155,14 @@ class TestClassify:
                 cats.append(classify(wf).categories())
             assert cats[0] == cats[1]
 
+    @pytest.mark.parametrize("name", ["ex31", "ex32", "grs"])
+    def test_witnesses_match_full_array_ranking(self, name):
+        wf = ORACLE_FIELDS[name]()
+        rep = classify(wf)
+        inflection, critical = witnesses(wf, rep)
+        assert (rep.inflection_witnesses, rep.inflection_count) == inflection
+        assert (rep.critical_witnesses, rep.critical_count) == critical
+
     def test_eps_scale_must_be_positive(self):
         wf = make_min_critical_wave(MIN_CRITICAL_BETA0, 0.0, channel_grid(64, 65))
         with pytest.raises(DomainError):
@@ -134,17 +170,21 @@ class TestClassify:
 
 
 class TestRigidityPredicates:
-    def shear_field(self, profile, beta, grid=None, c=0.0):
-        grid = grid or channel_grid(128, 65)
-        _, Y = grid.mesh()
-        u0 = profile.eval(Y[:, 0])[0]
-        u = np.repeat(u0[:, None], grid.nx, axis=1)
-        return WaveField(grid, u, np.zeros(grid.shape), c, beta)
+    """classify(...).rigidity: the rigidity theorems from classify's one derivative pass."""
+
+    @pytest.mark.parametrize("eps_scale", [2.0, 0.5])
+    @pytest.mark.parametrize("name", sorted(ORACLE_FIELDS))
+    def test_matches_separate_pass_oracle(self, name, eps_scale):
+        wf = ORACLE_FIELDS[name]()
+        got = classify(wf, eps_scale=eps_scale).rigidity
+        want = rigidity_predicates(wf, eps_scale=eps_scale)
+        assert got == want
+        assert repr(got) == repr(want)  # every evidence float bit for bit, signed zeros too
 
     def test_poiseuille_window_concludes_shear(self):
         # curvature 2 - 2*Gamma = 2 at Gamma = 0; beta = 1 sits inside (0, 2)
-        wf = self.shear_field(CouettePoiseuille(0.0), beta=1.0)
-        verdict = rigidity_predicates(wf)
+        wf = shear_field(CouettePoiseuille(0.0), beta=1.0)
+        verdict = classify(wf).rigidity
         window = {t.name: t for t in verdict.applicable_theorems}[
             "positive_vorticity_gradient_window"
         ]
@@ -154,8 +194,8 @@ class TestRigidityPredicates:
     def test_bickley_threshold_uses_closed_form(self):
         d = 0.5
         grid = Grid2D(128, 65, ChannelGeometry(2 * math.pi, -d, d))
-        wf = self.shear_field(Bickley(), beta=0.3, grid=grid)
-        verdict = rigidity_predicates(wf)
+        wf = shear_field(Bickley(), beta=0.3, grid=grid)
+        verdict = classify(wf).rigidity
         window = {t.name: t for t in verdict.applicable_theorems}[
             "positive_vorticity_gradient_window"
         ]
@@ -169,7 +209,7 @@ class TestRigidityPredicates:
 
     def test_genuine_wave_defeats_every_theorem(self):
         wf = make_inflection_wave(Example31Params(beta=1.0), channel_grid(128, 65))
-        verdict = rigidity_predicates(wf)
+        verdict = classify(wf).rigidity
         assert not verdict.shear_concluded()
         for theorem in verdict.applicable_theorems:
             failed = [h for h in theorem.hypotheses if not h.satisfied]
@@ -177,36 +217,37 @@ class TestRigidityPredicates:
 
     def test_f_plane_predicates(self):
         # convex parabola shear with beta = 0: lap u = 2 is sign definite
-        wf = self.shear_field(Polynomial((0.0, 0.0, 1.0)), beta=0.0, c=-5.0)
-        verdict = rigidity_predicates(wf)
+        wf = shear_field(Polynomial((0.0, 0.0, 1.0)), beta=0.0, c=-5.0)
+        verdict = classify(wf).rigidity
         names = {t.name: t for t in verdict.applicable_theorems}
         assert names["sign_definite_laplacian_f_plane"].conclusion == "shear flow"
         assert names["rayleigh_stable_f_plane"].conclusion == "shear flow"
 
     def test_speed_gap_theorem(self):
         # monotone shear with beta above Ran(lap u) = {0} and c far below u_min
-        from qgwave import couette
-
-        wf = self.shear_field(couette(), beta=1.0, c=-99.0)
-        verdict = rigidity_predicates(wf)
+        wf = shear_field(couette(), beta=1.0, c=-99.0)
+        verdict = classify(wf).rigidity
         gap = {t.name: t for t in verdict.applicable_theorems}["rayleigh_stable_speed_gap"]
         assert gap.conclusion == "shear flow"
 
     def test_one_gradient_per_differentiated_field(self, monkeypatch):
-        # u itself (its gradient also sets u's directional margin), then one
-        # each for the margins of |grad u| and lap u
+        # u, u_x and u_y (second derivatives), |grad u| and lap u: five
+        # gradients, and lap u once, for the categories and the verdict alike
         # (the package re-exports classify(), which shadows the module name)
         module = importlib.import_module("qgwave.classify")
-        calls = []
-        real = module.gradient
+        counts = {"gradient": 0, "laplacian": 0}
 
-        def counting(f, grid):
-            calls.append(f.shape)
-            return real(f, grid)
+        def counting(name, real):
+            def stencil(f, grid):
+                counts[name] += 1
+                return real(f, grid)
 
-        monkeypatch.setattr(module, "gradient", counting)
-        rigidity_predicates(make_inflection_wave(Example31Params(beta=1.0), channel_grid(128, 65)))
-        assert len(calls) == 3
+            return stencil
+
+        for name in counts:
+            monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        classify(make_inflection_wave(Example31Params(beta=1.0), channel_grid(128, 65)))
+        assert counts == {"gradient": 5, "laplacian": 1}
 
 
 class TestProfileRigidityBound:
@@ -231,9 +272,9 @@ class TestToDict:
     """Records nest; their JSON documents hold objects, not arrays, at every level."""
 
     def test_rigidity_verdict_json_is_objects_all_the_way_down(self):
-        verdict = rigidity_predicates(
+        verdict = classify(
             make_inflection_wave(Example31Params(beta=1.0), channel_grid(64, 33))
-        )
+        ).rigidity
         doc = json.loads(json.dumps(verdict.to_dict()))
         assert list(doc) == ["applicable_theorems"]
         assert len(doc["applicable_theorems"]) == len(verdict.applicable_theorems) == 4
@@ -251,6 +292,7 @@ class TestToDict:
         doc = json.loads(json.dumps(report.to_dict()))
         assert doc.keys() == {*report._fields, "categories"}
         assert doc["categories"] == list(report.categories())
+        assert doc.pop("rigidity") == json.loads(json.dumps(report.rigidity.to_dict()))
         assert doc["critical_count"] > 0
         for key in ("inflection_witnesses", "critical_witnesses"):
             assert all(w.keys() == {"iy", "ix", "x", "y"} for w in doc[key])

@@ -3,8 +3,10 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
+import qgwave
 import qgwave.cli
 import qgwave.eigen
 from qgwave.cli import main
@@ -214,6 +216,40 @@ class TestExamplePipeline:
             path.write_bytes(content)
         code, _, _ = run_cli(capsys, "classify", "--field", str(path))
         assert code == 2
+
+    def test_classify_reports_rigidity(self, capsys, tmp_path):
+        path = tmp_path / "ex32.json"
+        run_cli(
+            capsys,
+            "example", "--name", "ex32", "--beta-mode", "beta0",
+            "--nx", "128", "--ny", "65", "-o", str(path),
+        )
+        code, out, _ = run_cli(capsys, "classify", "--field", str(path), "--json")
+        assert code == 0
+        theorems = json.loads(out)["rigidity"]["applicable_theorems"]
+        assert [t["conclusion"] for t in theorems] == ["not applicable"] * 4
+        code, out, _ = run_cli(capsys, "classify", "--field", str(path))
+        assert code == 0
+        assert out.splitlines() == [
+            "genuine = True (max|v| = 1)",
+            "categories: inflection, critical, extremum",
+            "theorem_consistent = True",
+            "rigidity: none",
+        ]
+
+    def test_classify_text_names_the_theorems_concluding_shear(self, capsys, tmp_path):
+        # convex parabola shear on the f-plane: lap u = 2 is sign definite
+        grid = qgwave.Grid2D(64, 33, qgwave.ChannelGeometry(2 * math.pi, -1.0, 1.0))
+        u = np.repeat((grid.y**2)[:, None], grid.nx, axis=1)
+        path = tmp_path / "shear.json"
+        qgwave.write_field(qgwave.WaveField(grid, u, np.zeros(grid.shape), -5.0, 0.0), path)
+        code, out, _ = run_cli(capsys, "classify", "--field", str(path))
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[:3] == [
+            "genuine = False (max|v| = 0)", "categories: none", "theorem_consistent = True"
+        ]
+        assert lines[3:] == ["rigidity: rayleigh_stable_f_plane, sign_definite_laplacian_f_plane"]
 
 
 class TestRootAndInf:

@@ -33,10 +33,11 @@ from qgwave import (
     critical_beta,
     lambda_inf_over_c,
     principal_eigenvalue,
-    scaling_check,
     wave_speed_root,
 )
 from qgwave.profiles import Kolmogorov
+
+from _oracles import scaling_check
 
 BESSEL_BETA_CRIT = float(jn_zeros(1, 1)[0]) ** 2 / 8.0  # 1.8352463302654868
 

@@ -99,7 +99,7 @@ def test_records_are_immutable():
     grid = qgwave.Grid2D(8, 9, qgwave.ChannelGeometry(1.0, -1.0, 1.0))
     wave = qgwave.WaveField(grid, np.ones(grid.shape), np.zeros(grid.shape), 0.0, 0.0)
     band = qgwave.band_extrema(qgwave.couette(), 1.0)
-    verdict = qgwave.rigidity_predicates(wave)
+    verdict = qgwave.classify(wave).rigidity
     theorem = verdict.applicable_theorems[0]
     records = [
         grid, grid.geometry, wave, qgwave.diagnostics(wave), qgwave.classify(wave),

@@ -18,7 +18,9 @@ from qgwave import (
     couette,
     parse_profile,
 )
-from qgwave.profiles import BICKLEY_INFLECTION, _Scaled
+from qgwave.profiles import BICKLEY_INFLECTION
+
+from _oracles import _Scaled, scaled
 
 
 class TestEval:
@@ -55,19 +57,19 @@ class TestEval:
         assert abs(at_zero) < 1e-14
 
     def test_scaled_profile(self):
-        prof = Bickley().scaled(0.5)
+        prof = scaled(Bickley(), 0.5)
         u0, u0p, u0pp = prof.eval(0.3)
         ref = Bickley().eval(0.3)
         assert u0 == 0.5 * ref[0] and u0p == 0.5 * ref[1] and u0pp == 0.5 * ref[2]
 
     def test_scaled_linear_stays_linear(self):
-        prof = LinearProfile(2.0, 3.0).scaled(0.25)
+        prof = scaled(LinearProfile(2.0, 3.0), 0.25)
         assert isinstance(prof, LinearProfile)
         assert (prof.a, prof.b) == (0.5, 0.75)
 
     def test_scaled_rejects_nonpositive(self):
         with pytest.raises(DomainError):
-            couette().scaled(0.0)
+            scaled(couette(), 0.0)
 
 
 class TestParse:
