@@ -276,7 +276,8 @@ def dump_field(field: WaveField, fh) -> None:
 
     The bytes are the same, but the document is written one row of u or v
     at a time, so the whole field is never held as text or as Python
-    floats.  The sorted scalar keys all precede "u" and "v".
+    floats.  The sorted scalar keys all precede "u" and "v".  orjson
+    formats each row (_dump_row).
     """
     head = json.dumps(_field_scalars(field), sort_keys=True)
     fh.write(head[:-1])  # the scalars without the closing brace
@@ -285,9 +286,34 @@ def dump_field(field: WaveField, fh) -> None:
         for j, row in enumerate(arr):
             if j:
                 fh.write(", ")
-            fh.write(json.dumps(row.tolist()))
+            fh.write(_dump_row(row))
         fh.write("]")
     fh.write("}\n")
+
+
+def _dump_row(row: np.ndarray) -> str:
+    """json.dumps(row.tolist()) for a row of finite float64, formatted by orjson.
+
+    orjson writes the shortest round-trip digits, as repr does, but in
+    positional notation where repr switches to an exponent: for
+    0 < |x| < 1e-4 (0.00001 against 1e-05) and |x| >= 1e16 (1e16 against
+    1e+16).  Only those entries are formatted again, by repr, and the
+    entries are joined with json.dumps's ", " separator.
+    """
+    import orjson  # on first use, so that commands without field I/O never load it
+
+    row = np.ascontiguousarray(row)  # orjson rejects a strided row
+    text = orjson.dumps(row, option=orjson.OPT_SERIALIZE_NUMPY)
+    mag = np.abs(row)
+    odd = np.flatnonzero((mag >= 1e16) | ((mag < 1e-4) & (mag > 0.0)))
+    if odd.size:
+        parts = text[1:-1].split(b",")
+        for k in odd.tolist():
+            parts[k] = repr(float(row[k])).encode("ascii")
+        text = b"[" + b", ".join(parts) + b"]"
+    else:
+        text = text.replace(b",", b", ")
+    return text.decode("ascii")
 
 
 def field_from_dict(doc: dict) -> WaveField:
@@ -336,24 +362,50 @@ def _decode_rows(s: str, i: int):
     """Decode the JSON array that opens at s[i] one element at a time.
 
     Each element (a row of u or v) becomes a float64 array as soon as it is
-    decoded; one that does not convert is kept as decoded, so that
-    field_from_dict rejects it as it would the json.loads value.
+    decoded (_decode_row); one that does not convert is kept as the json
+    module decodes it, so that field_from_dict rejects it as it would the
+    json.loads value.
     """
     rows = []
     i = _skip_ws(s, i + 1).end()
     if s[i:i + 1] == "]":
         return rows, i + 1
     while True:
-        row, i = _DECODER.raw_decode(s, i)
-        try:
-            row = np.asarray(row, dtype=float)
-        except (TypeError, ValueError, OverflowError):
-            pass
+        row, i = _decode_row(s, i)
         rows.append(row)
         i = _skip_ws(s, i).end()
         if _expect(s, i, ",]", "',' delimiter") == "]":
             return rows, i + 1
         i = _skip_ws(s, i + 1).end()
+
+
+def _decode_row(s: str, i: int):
+    """The JSON value that opens at s[i], as a float64 array if it converts,
+    and the index just past it.
+
+    An array is parsed by orjson from s[i] through the next "]".  If orjson
+    accepts that slice, it is the whole array that the json module's
+    raw_decode would return, with the same float64 values (an integer
+    beyond 64 bits comes back as the nearest double, which is what float()
+    makes of json's int).  Any other value (NaN or Infinity literals, a
+    nested row, a string holding "]" or a lone surrogate, a truncated row,
+    an entry that does not convert) goes through raw_decode, which keeps
+    json.loads's verdict and message.
+    """
+    import orjson  # on first use, as in _dump_row
+
+    if s.startswith("[", i):
+        j = s.find("]", i) + 1
+        try:
+            return np.asarray(orjson.loads(s[i:j]), dtype=float), j
+        except (TypeError, ValueError, OverflowError):
+            pass  # orjson's JSONDecodeError is a ValueError
+    row, i = _DECODER.raw_decode(s, i)
+    try:
+        row = np.asarray(row, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    return row, i
 
 
 def _decode_field_doc(s: str):

@@ -53,8 +53,11 @@ def _level_mask(f: np.ndarray, eps: float) -> np.ndarray:
     crossing within one cell.
     """
     mask = np.abs(f) <= eps
-    change_x = f * np.roll(f, -1, axis=1) < 0.0
-    mask |= change_x | np.roll(change_x, 1, axis=1)
+    # x edges: the interior pairs of columns as one slice, then the wrapped pair
+    for west, east in ((slice(None, -1), slice(1, None)), (-1, 0)):
+        change_x = f[:, west] * f[:, east] < 0.0
+        mask[:, west] |= change_x
+        mask[:, east] |= change_x
     change_y = f[:-1] * f[1:] < 0.0
     mask[:-1] |= change_y
     mask[1:] |= change_y

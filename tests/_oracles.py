@@ -3,6 +3,8 @@
 * `rigidity_predicates` evaluates the rigidity theorems with its own stencil
   pass over u; `classify` must report the same verdict from its single pass.
 * `witnesses` ranks classify's witness nodes from full-size score arrays.
+* `level_mask` finds the zero level set's nodes with np.roll; classify's
+  `_level_mask` must give the same mask from column slices.
 * `scaled` and `scaling_check` state the eigenvalue scaling identity
   lambda1(beta, c; a*u0) = lambda1(beta/a, c/a; u0).
 """
@@ -19,7 +21,6 @@ from qgwave.classify import (
     HypothesisCheck,
     RigidityVerdict,
     TheoremCheck,
-    _level_mask,
     c_beta_plus,
 )
 from qgwave.eigen import DEFAULT_EIGEN_TOL
@@ -108,15 +109,26 @@ def rigidity_predicates(field, eps_scale=DEFAULT_EPS_SCALE):
     return RigidityVerdict(applicable_theorems=theorems)
 
 
+def level_mask(f, eps):
+    """Nodes with |f| <= eps or a sign change of f across a grid edge, via np.roll."""
+    mask = np.abs(f) <= eps
+    change_x = f * np.roll(f, -1, axis=1) < 0.0
+    mask |= change_x | np.roll(change_x, 1, axis=1)
+    change_y = f[:-1] * f[1:] < 0.0
+    mask[:-1] |= change_y
+    mask[1:] |= change_y
+    return mask
+
+
 def witnesses(field, report):
     """(inflection, critical) as (witnesses, count): score every node, then mask."""
     grid, tiny = field.grid, np.finfo(float).tiny
     grad_mag = np.hypot(*gradient(field.u, grid))
     quantity = field.beta - laplacian(field.u, grid)
     speed_gap = field.u - field.c
-    level_u = _level_mask(speed_gap, report.eps_c)
+    level_u = level_mask(speed_gap, report.eps_c)
     cases = (
-        (level_u & _level_mask(quantity, report.eps_q), np.abs(quantity), report.eps_q),
+        (level_u & level_mask(quantity, report.eps_q), np.abs(quantity), report.eps_q),
         (level_u & (grad_mag <= report.eps_g), grad_mag, report.eps_g),
     )
     out = []

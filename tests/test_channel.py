@@ -1,10 +1,12 @@
 """Grid, discrete calculus, diagnostics, and wave-field file format."""
 
+import io
 import json
 import math
 import tracemalloc
 
 import numpy as np
+import orjson
 import pytest
 
 from qgwave import (
@@ -23,6 +25,7 @@ from qgwave import (
     read_field,
     write_field,
 )
+from qgwave import channel
 from qgwave.cli import main
 from qgwave.flows import (
     KOLMOGOROV_PERIOD,
@@ -310,6 +313,31 @@ class TestStreamedWriter:
         assert np.array_equal(back.u, u) and np.array_equal(back.v, v)
         assert np.array_equal(np.signbit(back.v), np.signbit(v))
 
+    @pytest.mark.parametrize("kind", ["bits", "neighbours", "small-and-integral"])
+    def test_property_values_match_json_dumps(self, kind):
+        # orjson formats each row; repr takes over where the notations differ
+        grid = Grid2D(64, 65, ChannelGeometry(2 * math.pi, -1, 1))
+        rng = np.random.default_rng(13)
+        for _ in range(4):
+            values = _writer_values(kind, rng, 2 * grid.nx * grid.ny)
+            u, v = values.reshape(2, *grid.shape)
+            wf = WaveField(grid, u, v, c=float(values[0]), beta=abs(float(values[1])))
+            buf = io.StringIO()
+            channel.dump_field(wf, buf)
+            assert buf.getvalue().encode("ascii") == _json_dumps_bytes(wf)
+
+    def test_transposed_field_matches_json_dumps(self, tmp_path):
+        grid = std_grid(nx=16, ny=11)
+        rng = np.random.default_rng(5)
+        shape = (grid.nx, grid.ny)
+        u = (rng.standard_normal(shape) * 10.0 ** rng.uniform(-8, 20, shape)).T
+        wf = WaveField(grid, u, u[::-1], c=0.5, beta=1.0)
+        assert not (wf.u.flags.c_contiguous or wf.v.flags.c_contiguous)
+        path = tmp_path / "field.json"
+        write_field(wf, path)
+        assert path.read_bytes() == _json_dumps_bytes(wf)
+        assert _same_bits(read_field(path).u, u)
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -329,6 +357,33 @@ class TestStreamedWriter:
         assert capsys.readouterr().out == ""
         assert path.read_bytes() == out.encode("ascii")
         assert out.encode("ascii") == _json_dumps_bytes(read_field(path))
+
+
+def _writer_values(kind, rng, n):
+    """n finite doubles of one kind, shuffled: the writer property test's inputs."""
+    if kind == "bits":
+        x = rng.integers(0, 2**64, n, dtype=np.uint64).view(np.float64)
+        return np.where(np.isfinite(x), x, 0.0)
+    if kind == "neighbours":
+        # repr switches to exponent notation below 1e-4 and from 1e16 on
+        x = np.concatenate([_walk(b, 40) for b in (1e-4, -1e-4, 1e16, -1e16)])
+    else:
+        sub = rng.integers(1, 2**52, n // 4, dtype=np.uint64).view(np.float64)
+        ints = np.round(rng.standard_normal(n // 4) * 10.0 ** rng.integers(0, 22, n // 4))
+        x = np.concatenate(
+            [sub, -sub, ints, [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                               2.225073858507201e-308, 1.0, -3.0, 2.0**53, 2.0**53 + 2.0]]
+        )
+    return rng.permutation(np.resize(x, n))
+
+
+def _walk(b, k):
+    """The 2k + 1 doubles nearest b, b among them."""
+    up, down = [np.float64(b)], [np.float64(b)]
+    for _ in range(k):
+        up.append(np.nextafter(up[-1], np.inf))
+        down.append(np.nextafter(down[-1], -np.inf))
+    return np.array(down[:0:-1] + up)
 
 
 def _same_bits(a, b):
@@ -432,6 +487,109 @@ class TestReaderConformance:
             field_from_dict(doc)
         with pytest.raises(FieldFormatError):
             _read_text(tmp_path, data)
+
+
+def _number_literals(kind, rng, n):
+    """n JSON number literals of one kind: the reader property test's inputs."""
+    x = rng.integers(0, 2**64, 2 * n, dtype=np.uint64).view(np.float64)
+    x = x[np.isfinite(x)][:n].tolist()
+    if kind == "repr":
+        return [repr(v) for v in x]
+    if kind == "%.25g":
+        return ["%.25g" % v for v in x]
+    if kind == "long-digits":
+        out = []
+        for _ in range(n):
+            digits = str(int(rng.integers(1, 10))) + "".join(
+                str(d) for d in rng.integers(0, 10, int(rng.integers(16, 40)))
+            )
+            point = int(rng.integers(1, len(digits)))
+            sign = "-" if rng.random() < 0.5 else ""
+            exp = int(rng.integers(-340, 300 - point))  # finite: below 1e300
+            out.append(f"{sign}{digits[:point]}.{digits[point:]}e{exp}")
+        return out
+    ints = [int(rng.integers(0, 2**63)) * int(rng.integers(1, 3)) for _ in range(n)]
+    ints = [i if rng.random() < 0.5 else -(i // 2) for i in ints]
+    return [str(i) for i in ints] + ["1E5", "1e-05", "-0", "0", "-0.0", "1e-400",
+                                     str(2**64 - 1), str(2**63), str(-(2**63))]
+
+
+def _rows_doc(rows):
+    """A field document whose u rows are the given JSON texts."""
+    doc = _small_doc()
+    head = json.dumps(dict(doc, u=None), sort_keys=True)
+    return head.replace('"u": null', '"u": [' + ", ".join(rows) + "]")
+
+
+def _reject(text):
+    raise orjson.JSONDecodeError("rejected", text, 0)
+
+
+def _outcome(path):
+    """read_field's verdict: its error message, or the field's bits."""
+    try:
+        wf = read_field(path)
+    except FieldFormatError as exc:
+        return str(exc)
+    return wf.grid, wf.c, wf.beta, wf.u.tobytes(), wf.v.tobytes()
+
+
+class TestOrjsonRows:
+    """orjson parses the rows of u and v; the json module's decoder takes
+    every row that orjson rejects, and both must give json.loads's answer."""
+
+    @pytest.mark.parametrize("kind", ["repr", "%.25g", "long-digits", "integers"])
+    def test_orjson_route_matches_json_loads(self, tmp_path, monkeypatch, kind):
+        literals = _number_literals(kind, np.random.default_rng(len(kind)), 2000)
+        rows = ["[" + ", ".join(literals[k:k + 8]) + "]" for k in range(0, len(literals) - 7, 8)]
+        with monkeypatch.context() as m:
+            m.setattr(channel, "_DECODER", None)  # any row on the json route raises
+            for text in rows:
+                got, end = channel._decode_row(text, 0)
+                assert end == len(text) and _same_bits(got, json.loads(text))
+        text = _rows_doc(rows[:9])
+        want = field_from_dict(json.loads(text))
+        got = _read_text(tmp_path, text)
+        assert _same_bits(got.u, want.u) and _same_bits(got.v, want.v)
+
+    @pytest.mark.parametrize(
+        "row, verdict",
+        [
+            ("[NaN, 1, 2, 3, 4, 5, 6, 7]", "u/v contain NaN or Inf"),
+            ("[0, Infinity, 2, 3, 4, 5, 6, -Infinity]", "u/v contain NaN or Inf"),
+            (f"[{2**64 + 1}, {-(2**70) - 3}, 2, 3, 4, 5, 6, 7]", None),
+            ("[1" + "0" * 400 + ", 1, 2, 3, 4, 5, 6, 7]", "int too large to convert to float"),
+            ('["a]", 1, 2, 3, 4, 5, 6, 7]', "could not convert string to float"),
+            ("[[0, 1], 2, 3, 4, 5, 6, 7]", "malformed wave-field document"),
+            ('["\\ud800", 1, 2, 3, 4, 5, 6, 7]', "could not convert string to float"),
+        ],
+        ids=["nan", "infinity", "beyond-64-bits", "huge-integer", "string-with-bracket",
+             "nested", "lone-surrogate"],
+    )
+    def test_rejected_rows_keep_the_json_verdict(self, tmp_path, monkeypatch, row, verdict):
+        doc = _small_doc()
+        rows = [row] + [json.dumps(r) for r in doc["u"][1:]]
+        path = tmp_path / "field.json"
+        path.write_text(_rows_doc(rows), encoding="ascii")
+        got = _outcome(path)
+        monkeypatch.setattr(orjson, "loads", _reject)  # every row through json's decoder
+        assert got == _outcome(path)
+        if verdict is None:
+            assert not isinstance(got, str)
+        else:
+            assert verdict in got
+
+    def test_file_cut_inside_its_last_row(self, tmp_path, monkeypatch):
+        text = json.dumps(_small_doc(), sort_keys=True)
+        last = text.rindex("[")
+        paths = []
+        for k in range(last, len(text) - 2):
+            paths.append(tmp_path / f"{k}.json")
+            paths[-1].write_text(text[:k], encoding="ascii")
+        got = [_outcome(path) for path in paths]
+        monkeypatch.setattr(orjson, "loads", _reject)
+        assert got == [_outcome(path) for path in paths]
+        assert all(isinstance(g, str) and "cannot read wave-field file" in g for g in got)
 
 
 def _roll_gradient(f, grid):

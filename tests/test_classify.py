@@ -20,6 +20,8 @@ from qgwave import (
     couette,
     profile_rigidity_bound,
 )
+from qgwave.channel import laplacian
+from qgwave.classify import _level_mask
 from qgwave.flows import (
     KOLMOGOROV_PERIOD,
     MIN_CRITICAL_BETA0,
@@ -31,7 +33,7 @@ from qgwave.flows import (
     make_min_critical_wave,
 )
 
-from _oracles import rigidity_predicates, witnesses
+from _oracles import level_mask, rigidity_predicates, witnesses
 
 
 def channel_grid(nx=256, ny=129):
@@ -162,6 +164,28 @@ class TestClassify:
         inflection, critical = witnesses(wf, rep)
         assert (rep.inflection_witnesses, rep.inflection_count) == inflection
         assert (rep.critical_witnesses, rep.critical_count) == critical
+
+    @pytest.mark.parametrize("name", ["ex31", "ex32", "ex33", "grs"])
+    def test_level_masks_match_roll_oracle(self, name):
+        if name == "ex33":
+            wf = make_kolmogorov_perturbed(0.1, kolmogorov_grid(128, 65))
+        else:
+            wf = ORACLE_FIELDS[name]()
+        rep = classify(wf)
+        quantity = wf.beta - laplacian(wf.u, wf.grid)
+        for f, eps in ((wf.u - wf.c, rep.eps_c), (quantity, rep.eps_q), (quantity, 0.0)):
+            got = _level_mask(f, eps)
+            assert got.dtype == bool and np.array_equal(got, level_mask(f, eps))
+
+    def test_level_mask_skips_underflowing_products(self):
+        # 1e-170 * -1e-170 rounds to -0.0, which is not < 0: no sign change counts
+        rng = np.random.default_rng(7)
+        f = rng.choice([-1.0, 1.0], (33, 16)) * 10.0 ** rng.uniform(-170, -150, (33, 16))
+        f[::3, ::5] = 0.0
+        opposite = np.sign(f[:, :-1]) * np.sign(f[:, 1:]) < 0.0
+        assert np.any(opposite & (f[:, :-1] * f[:, 1:] == 0.0))
+        for eps in (0.0, 1e-165):
+            assert np.array_equal(_level_mask(f, eps), level_mask(f, eps))
 
     def test_eps_scale_must_be_positive(self):
         wf = make_min_critical_wave(MIN_CRITICAL_BETA0, 0.0, channel_grid(64, 65))
