@@ -248,7 +248,8 @@ def diagnostics(field: WaveField) -> FieldDiagnostics:
 # ----------------------------------------------------------------------
 # Wave-field file format: a single JSON document with keys
 # {nx, ny, L, d_minus, d_plus, c, beta, u, v}, u and v row-major
-# ny rows x nx columns of finite doubles.
+# ny rows x nx columns of finite doubles.  Every value is a JSON number,
+# never a string ("8", " 1.5 "), nor an array where a scalar belongs.
 # ----------------------------------------------------------------------
 
 _FIELD_KEYS = ("nx", "ny", "L", "d_minus", "d_plus", "c", "beta", "u", "v")
@@ -256,15 +257,7 @@ _FIELD_KEYS = ("nx", "ny", "L", "d_minus", "d_plus", "c", "beta", "u", "v")
 
 def _field_scalars(field: WaveField) -> dict:
     g = field.grid
-    return {
-        "nx": g.nx,
-        "ny": g.ny,
-        "L": g.geometry.L,
-        "d_minus": g.geometry.d_minus,
-        "d_plus": g.geometry.d_plus,
-        "c": field.c,
-        "beta": field.beta,
-    }
+    return dict(zip(_FIELD_KEYS, (g.nx, g.ny, *g.geometry, field.c, field.beta)))
 
 
 def field_to_dict(field: WaveField) -> dict:
@@ -316,17 +309,31 @@ def _dump_row(row: np.ndarray) -> str:
     return text.decode("ascii")
 
 
+def _doubles(value) -> np.ndarray:
+    """np.asarray(value, dtype=float), but a string entry is not a number."""
+    a = np.asarray(value)
+    if a.dtype.kind in "biuf":
+        return a.astype(float, copy=False)
+    doubles = np.asarray(value, dtype=float)  # a string that is no number raises here
+    if a.dtype.kind != "O" or any(isinstance(x, str) for x in a.flat):
+        raise TypeError("u/v entries must be numbers, not strings")
+    return doubles
+
+
 def field_from_dict(doc: dict) -> WaveField:
     missing = [k for k in _FIELD_KEYS if k not in doc]
     if missing:
         raise FieldFormatError(f"wave-field document missing keys: {missing}")
+    arrays = [k for k in _FIELD_KEYS[:-2] if isinstance(doc[k], (str, list, np.ndarray))]
+    if arrays:
+        raise FieldFormatError(f"wave-field scalars must be numbers: {arrays}")
     try:
         nx = int(doc["nx"])
         ny = int(doc["ny"])
         geom = ChannelGeometry(float(doc["L"]), float(doc["d_minus"]), float(doc["d_plus"]))
         grid = Grid2D(nx, ny, geom)
-        u = np.asarray(doc["u"], dtype=float)
-        v = np.asarray(doc["v"], dtype=float)
+        u = _doubles(doc["u"])
+        v = _doubles(doc["v"])
     except (TypeError, ValueError, OverflowError, DomainError) as exc:
         raise FieldFormatError(f"malformed wave-field document: {exc}") from exc
     if u.shape != (ny, nx) or v.shape != (ny, nx):
@@ -346,113 +353,45 @@ def write_field(field: WaveField, path) -> None:
         dump_field(field, fh)
 
 
-_DECODER = json.JSONDecoder()
-_skip_ws = json.decoder.WHITESPACE.match
+def _parse_array(s_and_end, scan_once):
+    """The decoder's array hook: the array that opens at s[end - 1], as a
+    float64 array if it holds only numbers, and the index just past it.
 
-
-def _expect(s: str, i: int, chars: str, what: str) -> str:
-    """The character s[i] if it is one of chars, else the decoder's own error."""
-    ch = s[i:i + 1]
-    if not ch or ch not in chars:
-        raise json.JSONDecodeError(f"Expecting {what}", s, i)
-    return ch
-
-
-def _decode_rows(s: str, i: int):
-    """Decode the JSON array that opens at s[i] one element at a time.
-
-    Each element (a row of u or v) becomes a float64 array as soon as it is
-    decoded (_decode_row); one that does not convert is kept as the json
-    module decodes it, so that field_from_dict rejects it as it would the
-    json.loads value.
-    """
-    rows = []
-    i = _skip_ws(s, i + 1).end()
-    if s[i:i + 1] == "]":
-        return rows, i + 1
-    while True:
-        row, i = _decode_row(s, i)
-        rows.append(row)
-        i = _skip_ws(s, i).end()
-        if _expect(s, i, ",]", "',' delimiter") == "]":
-            return rows, i + 1
-        i = _skip_ws(s, i + 1).end()
-
-
-def _decode_row(s: str, i: int):
-    """The JSON value that opens at s[i], as a float64 array if it converts,
-    and the index just past it.
-
-    An array is parsed by orjson from s[i] through the next "]".  If orjson
-    accepts that slice, it is the whole array that the json module's
-    raw_decode would return, with the same float64 values (an integer
-    beyond 64 bits comes back as the nearest double, which is what float()
-    makes of json's int).  Any other value (NaN or Infinity literals, a
-    nested row, a string holding "]" or a lone surrogate, a truncated row,
-    an entry that does not convert) goes through raw_decode, which keeps
-    json.loads's verdict and message.
+    orjson parses the text from the "[" through the next "]".  A slice that
+    orjson accepts is the whole array, with json's float64 values (an
+    integer beyond 64 bits comes back as the double float() makes of it).
+    Any other array (NaN or Infinity literals, a nested row, a string, a
+    truncated row) goes to json.decoder.JSONArray, with json's verdict.
     """
     import orjson  # on first use, as in _dump_row
 
-    if s.startswith("[", i):
-        j = s.find("]", i) + 1
-        try:
-            return np.asarray(orjson.loads(s[i:j]), dtype=float), j
-        except (TypeError, ValueError, OverflowError):
-            pass  # orjson's JSONDecodeError is a ValueError
-    row, i = _DECODER.raw_decode(s, i)
+    s, end = s_and_end
+    j = s.find("]", end) + 1  # 0 if there is none, and orjson rejects ""
     try:
-        row = np.asarray(row, dtype=float)
+        row = np.asarray(orjson.loads(s[end - 1:j]))
+        if row.dtype.kind in "biuf":
+            return row.astype(float, copy=False), j
     except (TypeError, ValueError, OverflowError):
-        pass
-    return row, i
+        pass  # orjson's JSONDecodeError is a ValueError
+    return json.decoder.JSONArray(s_and_end, scan_once)
 
 
-def _decode_field_doc(s: str):
-    """json.loads(s), except that the rows of a top-level "u" or "v" array
-    come back as float64 arrays (see _decode_rows).
-
-    The top-level object is walked with the json module's own pieces, so
-    the document is accepted or rejected exactly as json.loads would.
-    """
-    i = _skip_ws(s, 0).end()
-    if s[i:i + 1] != "{":
-        return _DECODER.decode(s)
-    doc = {}
-    i = _skip_ws(s, i + 1).end()
-    if s[i:i + 1] == "}":
-        i += 1
-    else:
-        while True:
-            _expect(s, i, '"', "property name enclosed in double quotes")
-            key, i = json.decoder.scanstring(s, i + 1)
-            i = _skip_ws(s, i).end()
-            _expect(s, i, ":", "':' delimiter")
-            i = _skip_ws(s, i + 1).end()
-            if key in ("u", "v") and s[i:i + 1] == "[":
-                doc[key], i = _decode_rows(s, i)
-            else:
-                doc[key], i = _DECODER.raw_decode(s, i)
-            i = _skip_ws(s, i).end()
-            if _expect(s, i, ",}", "',' delimiter") == "}":
-                break
-            i = _skip_ws(s, i + 1).end()
-        i += 1
-    i = _skip_ws(s, i).end()
-    if i != len(s):
-        raise json.JSONDecodeError("Extra data", s, i)
-    return doc
+# json.loads's decoder, but every array goes through _parse_array first.
+_FIELD_DECODER = json.JSONDecoder()
+_FIELD_DECODER.parse_array = _parse_array
+_FIELD_DECODER.scan_once = json.scanner.py_make_scanner(_FIELD_DECODER)
 
 
 def read_field(path) -> WaveField:
     """Read a wave-field file; every malformed one raises FieldFormatError.
 
-    The text is read once and decoded row by row (_decode_field_doc), and
-    it is dropped before the rows are stacked into u and v.
+    The text is read once and decoded by json's own parser, each row of u
+    and v becoming a float64 array as it is parsed (_parse_array), and it
+    is dropped before the rows are stacked.
     """
     try:
         with open(path, "r", encoding="ascii") as fh:
-            doc = _decode_field_doc(fh.read())
+            doc = _FIELD_DECODER.decode(fh.read())
     except (OSError, ValueError, RecursionError) as exc:
         raise FieldFormatError(f"cannot read wave-field file {path}: {exc}") from exc
     if not isinstance(doc, dict):

@@ -83,7 +83,7 @@ def _band_payload(band, args, payload: dict) -> dict:
 
 def _cmd_eigen(args):
     band = _band(args)
-    c = band.u0_min if args.c == "min" else float(args.c)
+    c = band.u0_min if args.c == "min" else args.c
     res = principal_eigenvalue(band, args.beta, c, tol=args.tol)
     payload = {
         "lambda1": res.lambda1,
@@ -267,10 +267,22 @@ def _add_band_flags(p):
     p.add_argument("--d", type=float, required=True, help="band half-width")
 
 
+def _speed(text: str):
+    """--c: 'min' or a number; anything else is a usage error."""
+    if text == "min":
+        return text
+    try:
+        return float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected 'min' or a number, got {text!r}") from None
+
+
 def _eigen_args(p):
     _add_band_flags(p)
     p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--c", required=True, help="wave speed, or 'min' for the singular case")
+    p.add_argument(
+        "--c", type=_speed, required=True, help="wave speed, or 'min' for the singular case"
+    )
     p.add_argument("--tol", type=float, default=DEFAULT_EIGEN_TOL)
     _add_output_flags(p)
 

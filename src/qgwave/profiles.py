@@ -148,6 +148,8 @@ def parse_profile(spec: str) -> ShearProfile:
             vals = [float(tok) for tok in arg.split(",")]
         except ValueError as exc:
             raise ProfileSpecError(f"profile '{spec}': bad number ({exc})") from exc
+        if not all(math.isfinite(v) for v in vals):
+            raise ProfileSpecError(f"profile '{spec}': parameters must be finite")
         if expected is not None and len(vals) != expected:
             raise ProfileSpecError(
                 f"profile '{spec}': expected {expected} parameters, got {len(vals)}"

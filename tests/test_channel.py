@@ -423,6 +423,7 @@ def _variants():
         "compact": json.dumps(doc, separators=(",", ":")),
         "whitespace": " \n" + ws + "\r\n\t ",
         "empty-rows-key": json.dumps({"w": [], **doc}),
+        "numeric-extra-keys": json.dumps({"w": [[1, 2], [3, 4]], "note": [0.5], **doc}),
     }
 
 
@@ -448,6 +449,11 @@ def _malformed():
         "missing-colon": plain.replace('"c": ', '"c" ', 1),
         "unquoted-key": plain.replace('"c"', "c", 1),
         "empty": "",
+        "string-nx": json.dumps(dict(doc, nx="8")),
+        "string-c": json.dumps(dict(doc, c="0.5")),
+        "numeric-string-row": json.dumps(dict(doc, u=[doc["u"][0]] + [[" 1.5 "] * 8] * 8)),
+        "array-nx": json.dumps(dict(doc, nx=[8])),
+        "array-c": json.dumps(dict(doc, c=[0.5])),
     }
 
 
@@ -543,9 +549,9 @@ class TestOrjsonRows:
         literals = _number_literals(kind, np.random.default_rng(len(kind)), 2000)
         rows = ["[" + ", ".join(literals[k:k + 8]) + "]" for k in range(0, len(literals) - 7, 8)]
         with monkeypatch.context() as m:
-            m.setattr(channel, "_DECODER", None)  # any row on the json route raises
+            m.setattr(json.decoder, "JSONArray", None)  # any row on the json route raises
             for text in rows:
-                got, end = channel._decode_row(text, 0)
+                got, end = channel._parse_array((text, 1), None)
                 assert end == len(text) and _same_bits(got, json.loads(text))
         text = _rows_doc(rows[:9])
         want = field_from_dict(json.loads(text))

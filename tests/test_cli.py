@@ -393,6 +393,27 @@ class TestUsage:
         with pytest.raises(KeyError):
             main(["eigen", "--profile", "couette", "--d", "1", "--beta", "1", "--c", "-2"])
 
+    def test_bad_wave_speed_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["eigen", "--profile", "couette", "--d", "1", "--beta", "1", "--c", "abc"])
+        assert err.value.code == 2
+        assert "argument --c: expected 'min' or a number, got 'abc'" in capsys.readouterr().err
+
+    def test_nan_wave_speed_stays_a_domain_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "eigen", "--profile", "couette", "--d", "1", "--beta", "1", "--c", "nan"
+        )
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"] == "DomainError"
+
+    @pytest.mark.parametrize("spec", ["poly:nan", "linear:inf,0"])
+    def test_non_finite_profile_parameters_exit_2(self, capsys, spec):
+        code, out, err = run_cli(
+            capsys, "eigen", "--profile", spec, "--d", "1", "--beta", "1", "--c", "min"
+        )
+        assert (code, out) == (2, "")
+        assert err == f"qgwave: profile '{spec}': parameters must be finite\n"
+
     def test_tol_must_be_positive(self, capsys):
         for tol in ("0", "-1", "nan", "inf"):
             code, out, err = run_cli(

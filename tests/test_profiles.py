@@ -93,7 +93,9 @@ class TestParse:
         assert (prof.a, prof.b) == (1.0, 0.0)
 
     @pytest.mark.parametrize(
-        "spec", ["nope", "linear:1", "parabola:1,2,3", "cp:", "poly:", "linear:a,b", "couette:1"]
+        "spec",
+        ["nope", "linear:1", "parabola:1,2,3", "cp:", "poly:", "linear:a,b", "couette:1",
+         "poly:nan", "linear:inf,0", "parabola:1,-inf", "cp:NaN"],
     )
     def test_rejects_bad_specs(self, spec):
         with pytest.raises(ProfileSpecError):
