@@ -274,8 +274,8 @@ def _verdict(beta, c, cbp, u_min, lap_min, lap_max, grad_min, eps_c, eps_g, eps_
 
 def classify(field: WaveField, eps_scale: float = DEFAULT_EPS_SCALE) -> ClassificationReport:
     """Evaluate every wave-speed category of the classification theorem."""
-    if not (eps_scale > 0):
-        raise DomainError(f"eps_scale must be positive, got {eps_scale}")
+    if not (eps_scale > 0 and math.isfinite(eps_scale)):
+        raise DomainError(f"eps_scale must be positive and finite, got {eps_scale}")
     grid = field.grid
     u, v, c, beta = field.u, field.v, field.c, field.beta
 

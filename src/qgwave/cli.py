@@ -14,6 +14,8 @@ identical bytes, and the only metadata is the tool name and version.
 """
 
 import argparse
+import atexit
+import gc
 import json
 import math
 import sys
@@ -425,7 +427,19 @@ def run(args) -> int:
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
+    """Run the CLI on argv; with no argv, as the process entry on sys.argv.
+
+    As the process entry, main freezes every object alive at exit, so the
+    interpreter's shutdown collection skips them: the process ends right
+    after, and its memory goes back to the system either way.  Output is
+    flushed and closed before then.  A call with an argv list leaves the
+    collector as it found it.
+    """
+    if argv is None:
+        atexit.register(gc.freeze)
+        argv = sys.argv[1:]
+    else:
+        argv = list(argv)
     args = build_parser(argv).parse_args(argv)
     tol = getattr(args, "tol", None)
     if tol is not None and not (tol > 0 and math.isfinite(tol)):

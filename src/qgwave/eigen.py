@@ -371,8 +371,8 @@ def wave_speed_root(band: ProfileOnBand, beta: float, L: float, tol: float = DEF
     """
     if not band.monotone:
         raise DomainError("wave_speed_root needs a monotone profile on the band")
-    if not (L > 0):
-        raise DomainError(f"zonal period must be positive, got {L}")
+    if not (L > 0 and math.isfinite(L)):
+        raise DomainError(f"zonal period must be positive and finite, got {L}")
     if not (tol > 0):
         raise DomainError(f"tolerance must be positive, got {tol}")
 
@@ -434,8 +434,8 @@ def boundary_curve(
     Points are returned ordered by beta; solver failures flag their point and
     the sweep continues.
     """
-    if not (beta_min < beta_max):
-        raise DomainError(f"need beta_min < beta_max, got [{beta_min}, {beta_max}]")
+    if not (beta_min < beta_max and math.isfinite(beta_min) and math.isfinite(beta_max)):
+        raise DomainError(f"need finite beta_min < beta_max, got [{beta_min}, {beta_max}]")
     if n < 2:
         raise DomainError(f"need at least 2 samples, got {n}")
 

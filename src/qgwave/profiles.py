@@ -18,6 +18,12 @@ _SCAN_POINTS = 4097
 _REFINE_TOL = 1e-12
 
 
+def _num(x: float) -> str:
+    """x for a spec: the short :g form when it reads back as x, else repr."""
+    short = f"{x:g}"
+    return short if float(short) == x else repr(float(x))
+
+
 class ShearProfile:
     """Base class: subclasses provide eval() and a spec string."""
 
@@ -59,7 +65,7 @@ class Polynomial(ShearProfile):
         )
 
     def spec(self):
-        return "poly:" + ",".join(f"{c:g}" for c in self.coeffs)
+        return "poly:" + ",".join(_num(c) for c in self.coeffs)
 
 
 class LinearProfile(Polynomial):
@@ -70,7 +76,7 @@ class LinearProfile(Polynomial):
         self.a, self.b = a, b
 
     def spec(self):
-        return f"linear:{self.a:g},{self.b:g}"
+        return f"linear:{_num(self.a)},{_num(self.b)}"
 
 
 def couette() -> LinearProfile:
@@ -90,7 +96,7 @@ class ConcaveParabola(Polynomial):
         self.b, self.e = b, e
 
     def spec(self):
-        return f"parabola:{self.b:g},{self.e:g}"
+        return f"parabola:{_num(self.b)},{_num(self.e)}"
 
 
 class CouettePoiseuille(Polynomial):
@@ -101,7 +107,7 @@ class CouettePoiseuille(Polynomial):
         self.gamma = gamma
 
     def spec(self):
-        return f"cp:{self.gamma:g}"
+        return f"cp:{_num(self.gamma)}"
 
 
 class Bickley(ShearProfile):

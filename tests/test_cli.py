@@ -13,9 +13,15 @@ from qgwave.cli import main
 from qgwave.flows import MIN_CRITICAL_BETA0
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON (RFC 8259)")
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
+    if "--json" in argv and captured.out:
+        json.loads(captured.out, parse_constant=_reject_constant)
     return code, captured.out, captured.err
 
 
@@ -52,6 +58,15 @@ class TestEigen:
         )
         assert code == 1
         assert json.loads(err)["error"] == "DomainError"
+
+    def test_profile_echo_keeps_every_digit(self, capsys):
+        code, out, _ = run_cli(
+            capsys,
+            "eigen", "--profile", "linear:0.123456789,1", "--d", "1", "--beta", "1",
+            "--c", "min", "--json",
+        )
+        assert code == 0
+        assert json.loads(out)["profile"] == "linear:0.123456789,1"
 
 
 class TestCriticalBeta:
@@ -413,6 +428,36 @@ class TestUsage:
         )
         assert (code, out) == (2, "")
         assert err == f"qgwave: profile '{spec}': parameters must be finite\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("root-c", "--profile", "couette", "--d", "1", "--beta", "10", "--L", "inf"),
+            (
+                "curve", "--profile", "couette", "--d", "1",
+                "--beta-min", "1", "--beta-max", "inf", "--n", "3",
+            ),
+            (
+                "curve", "--profile", "couette", "--d", "1",
+                "--beta-min=-inf", "--beta-max", "1", "--n", "3",
+            ),
+        ],
+        ids=["root-c-L", "curve-beta-max", "curve-beta-min"],
+    )
+    def test_non_finite_inputs_exit_1(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv, "--json")
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"] == "DomainError"
+
+    @pytest.mark.parametrize("scale", ["inf", "nan"])
+    def test_eps_scale_must_be_positive_and_finite(self, capsys, tmp_path, scale):
+        path = tmp_path / "ex33.json"
+        run_cli(capsys, "example", "--name", "ex33", "--nx", "16", "--ny", "17", "-o", str(path))
+        code, out, err = run_cli(
+            capsys, "classify", "--field", str(path), "--eps-scale", scale, "--json"
+        )
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"] == "DomainError"
 
     def test_tol_must_be_positive(self, capsys):
         for tol in ("0", "-1", "nan", "inf"):

@@ -102,10 +102,29 @@ class TestParse:
             parse_profile(spec)
 
     def test_round_trip_spec(self):
-        for spec in ("couette", "linear:2,3", "parabola:7,0", "cp:0.5", "bickley", "kolmogorov"):
+        for spec in (
+            "couette", "linear:2,3", "parabola:7,0", "cp:0.5", "bickley", "kolmogorov",
+            "linear:0.123456789,1", "cp:0.1234567", "poly:1e-07,3.141592653589793",
+            "parabola:1.0000001,-2.5e-08",
+        ):
             prof = parse_profile(spec)
             again = parse_profile(prof.spec())
-            assert prof.eval(0.37)[0] == again.eval(0.37)[0]
+            assert prof.eval(0.37)[0] == again.eval(0.37)[0], spec
+
+    @pytest.mark.parametrize(
+        "spec",
+        ["linear:1,0", "parabola:7,0", "cp:0.5", "poly:1,0,-0.5",
+         "linear:0.123456789,1", "cp:0.1234567", "poly:1e-07,3.141592653589793"],
+    )
+    def test_spec_echoes_its_numbers(self, spec):
+        # short numbers keep their :g form; longer ones are written in full
+        assert parse_profile(spec).spec() == spec
+
+    def test_spec_of_computed_parameters_reads_back_exactly(self):
+        prof = LinearProfile(3.0 / (np.pi * 0.1), 2.0 / 15.0)
+        assert prof.spec() == f"linear:{prof.a!r},{prof.b!r}"
+        again = parse_profile(prof.spec())
+        assert (again.a, again.b) == (prof.a, prof.b)
 
 
 class TestBandExtrema:
