@@ -25,7 +25,7 @@ from .classify import classify
 _EXPORTS = {
     "channel": "ChannelGeometry FieldDiagnostics Grid2D WaveField diagnostics field_from_dict "
     "field_to_dict gradient laplacian read_field write_field",
-    "classify": "ClassificationReport RigidityVerdict c_beta_plus classify profile_rigidity_bound",
+    "classify": "ClassificationReport RigidityVerdict c_beta_plus classify",
     "eigen": "CurvePoint EigenResult boundary_curve critical_beta lambda_inf_over_c "
     "principal_eigenvalue wave_speed_root",
     "errors": "ConvergenceError DivergenceError DomainError FieldFormatError NoRootError "
@@ -35,7 +35,7 @@ _EXPORTS = {
     "planets": "JUPITER PLANETS SATURN PlanetData band_halfwidth beta_plane_params "
     "jupiter_band_case saturn_polar_case",
     "profiles": "Bickley ConcaveParabola CouettePoiseuille Kolmogorov LinearProfile Polynomial "
-    "ProfileOnBand ShearProfile band_extrema couette parse_profile",
+    "ProfileOnBand ShearProfile band_extrema couette parse_profile profile_rigidity_bound",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 __all__ = ["__version__", *_MODULE_OF]

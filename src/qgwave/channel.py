@@ -37,6 +37,9 @@ class ChannelGeometry(_Geometry):
         self = super().__new__(cls, *args, **kwargs)
         if not (self.L > 0 and math.isfinite(self.L)):
             raise DomainError(f"zonal period must be positive and finite, got L={self.L}")
+        for name, value in (("d_minus", self.d_minus), ("d_plus", self.d_plus)):
+            if not math.isfinite(value):
+                raise DomainError(f"band endpoint must be finite, got {name}={value}")
         if not (self.d_plus > self.d_minus):
             raise DomainError(
                 f"band endpoints must satisfy d_minus < d_plus, got [{self.d_minus}, {self.d_plus}]"

@@ -18,7 +18,6 @@ import numpy as np
 
 from .channel import Grid2D, WaveField, gradient, laplacian
 from .errors import DomainError
-from .profiles import ShearProfile, band_extrema
 
 GENUINE_REL_TOL = 1e-8
 DEFAULT_EPS_SCALE = 2.0
@@ -347,15 +346,3 @@ def classify(field: WaveField, eps_scale: float = DEFAULT_EPS_SCALE) -> Classifi
         rigidity=_verdict(beta, c, cbp, u_min, *evidence),
     )
 
-
-def profile_rigidity_bound(profile: ShearProfile, d: float, beta: float):
-    """Admissible perturbation radius (u0'')_min - beta for shear rigidity.
-
-    A traveling wave whose lap u stays within this radius of u0'' must be a
-    shear flow when the radius is positive; returns (threshold, satisfied).
-    """
-    if not (d > 0):
-        raise DomainError(f"band half-width must be positive, got d={d}")
-    band = band_extrema(profile, d)
-    threshold = band.u0pp_min - beta
-    return threshold, threshold > 0.0

@@ -196,7 +196,6 @@ def _example_field(args):
             A_tilde=args.A_tilde,
             B=args.B,
             c=args.c,
-            xi=args.xi,
             beta=args.beta if args.beta is not None else 1.0,
         )
         return make_inflection_wave(p, grid)
@@ -214,10 +213,9 @@ def _example_field(args):
     if args.name == "ex33":
         grid = Grid2D(nx, ny, ChannelGeometry(KOLMOGOROV_PERIOD, -math.pi, math.pi))
         return make_kolmogorov_perturbed(args.eps, grid)
-    if args.name == "grs":
-        grid = Grid2D(nx, ny, ChannelGeometry(args.Lx, -args.d, args.d))
-        return make_grs_vortex(GrsParams(args.a, args.b, args.k_exp), grid, args.clip_radius)
-    raise ProfileSpecError(f"unknown example '{args.name}'")
+    # grs: argparse limits --name to the four examples
+    grid = Grid2D(nx, ny, ChannelGeometry(args.Lx, -args.d, args.d))
+    return make_grs_vortex(GrsParams(args.a, args.b, args.k_exp), grid, args.clip_radius)
 
 
 def _cmd_example(args):
@@ -244,19 +242,6 @@ def _cmd_planet(args):
         f0, beta = beta_plane_params(planet, args.theta0)
         payload = {"planet": planet.to_dict(), "theta0_deg": args.theta0, "f0": f0, "beta": beta}
     return payload, json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-_DISPATCH = {
-    "eigen": _cmd_eigen,
-    "critical-beta": _cmd_critical_beta,
-    "inf-c": _cmd_inf_c,
-    "root-c": _cmd_root_c,
-    "curve": _cmd_curve,
-    "classify": _cmd_classify,
-    "verify": _cmd_verify,
-    "example": _cmd_example,
-    "planet": _cmd_planet,
-}
 
 
 def _add_output_flags(p):
@@ -342,7 +327,6 @@ def _example_args(p):
     p.add_argument("--A", type=float, default=1.0)
     p.add_argument("--A-tilde", type=float, default=0.0)
     p.add_argument("--B", type=float, default=0.0)
-    p.add_argument("--xi", type=float, default=0.0)
     p.add_argument("--eps", type=float, default=0.1)
     p.add_argument("--a", type=float, default=2.0)
     p.add_argument("--b", type=float, default=1.0)
@@ -360,17 +344,17 @@ def _planet_args(p):
     _add_output_flags(p)
 
 
-# subcommand -> (help, function that adds its arguments), in help order
+# subcommand -> (help, function that adds its arguments, handler), in help order
 _SUBCOMMANDS = {
-    "eigen": ("principal eigenvalue at (beta, c)", _eigen_args),
-    "critical-beta": ("transitional beta value", _critical_beta_args),
-    "inf-c": ("infimum of lambda1 over wave speeds", _inf_c_args),
-    "root-c": ("wave speed with lambda1 = -(2 pi / L)^2", _root_c_args),
-    "curve": ("rigidity/existence boundary curve over beta", _curve_args),
-    "classify": ("classify the wave speed of a field file", _classify_args),
-    "verify": ("residuals of the governing equations for a field file", _verify_args),
-    "example": ("emit a closed-form example field as JSON", _example_args),
-    "planet": ("beta-plane parameters and worked cases", _planet_args),
+    "eigen": ("principal eigenvalue at (beta, c)", _eigen_args, _cmd_eigen),
+    "critical-beta": ("transitional beta value", _critical_beta_args, _cmd_critical_beta),
+    "inf-c": ("infimum of lambda1 over wave speeds", _inf_c_args, _cmd_inf_c),
+    "root-c": ("wave speed with lambda1 = -(2 pi / L)^2", _root_c_args, _cmd_root_c),
+    "curve": ("rigidity/existence boundary curve over beta", _curve_args, _cmd_curve),
+    "classify": ("classify the wave speed of a field file", _classify_args, _cmd_classify),
+    "verify": ("residuals of the governing equations for a field file", _verify_args, _cmd_verify),
+    "example": ("emit a closed-form example field as JSON", _example_args, _cmd_example),
+    "planet": ("beta-plane parameters and worked cases", _planet_args, _cmd_planet),
 }
 
 
@@ -389,7 +373,7 @@ def build_parser(argv) -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"qgwave {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
     named = next((a for a in argv if not a.startswith("-")), None)
-    for name, (help_text, add_arguments) in _SUBCOMMANDS.items():
+    for name, (help_text, add_arguments, _) in _SUBCOMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         if name == named:
             add_arguments(p)
@@ -399,7 +383,7 @@ def build_parser(argv) -> argparse.ArgumentParser:
 def run(args) -> int:
     """Run one parsed invocation and write its output: the one place that emits."""
     try:
-        out = _DISPATCH[args.subcommand](args)
+        out = _SUBCOMMANDS[args.subcommand][2](args)
         if out is None:
             return 0
         payload, text = out

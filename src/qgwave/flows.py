@@ -31,6 +31,13 @@ def _require_geometry(grid: Grid2D, L: float, d_minus: float, d_plus: float, wha
         )
 
 
+def _require_finite(**params):
+    """Reject the first non-finite parameter by name, before any array exists."""
+    for name, value in params.items():
+        if not math.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {name}={value}")
+
+
 class _Example31(NamedTuple):
     n: int = 1
     k: int = 1
@@ -38,7 +45,6 @@ class _Example31(NamedTuple):
     A_tilde: float = 0.0
     B: float = 0.0
     c: float = 0.0
-    xi: float = 0.0
     beta: float = 1.0
 
 
@@ -48,7 +54,8 @@ class Example31Params(_Example31):
     The stream function mixes a cos((2k+1) pi y / 2) sin(n x) cell with
     meridional harmonics of frequency sqrt(-lambda); lambda is pinned to
     -n^2 - (2k+1)^2 pi^2 / 4 < 0 so the whole field satisfies
-    lap(psi) + beta y = lambda (psi + c y) + xi.
+    lap(psi) + beta y = lambda (psi + c y) up to a constant, which only
+    shifts psi and so leaves the velocity field unchanged.
     """
 
     __slots__ = ()
@@ -57,6 +64,7 @@ class Example31Params(_Example31):
         self = super().__new__(cls, *args, **kwargs)
         if self.n < 1 or self.k < 1:
             raise DomainError(f"n and k must be positive integers, got n={self.n}, k={self.k}")
+        _require_finite(A=self.A, A_tilde=self.A_tilde, B=self.B, c=self.c, beta=self.beta)
         return self
 
     @property
@@ -71,7 +79,7 @@ def make_inflection_wave(p: Example31Params, grid: Grid2D) -> WaveField:
     inflection set {beta - lap u = 0} coincides with the level set {u = c}.
     """
     _require_geometry(grid, 2.0 * math.pi, -1.0, 1.0, "inflection-wave example")
-    X, Y = grid.mesh()
+    X, Y = grid.x, grid.y[:, None]  # the axes; each product broadcasts to (ny, nx)
     lam = p.lam
     mu = (2 * p.k + 1) * math.pi / 2.0
     s = math.sqrt(-lam)
@@ -95,10 +103,11 @@ def make_min_critical_wave(beta: float, c: float, grid: Grid2D) -> WaveField:
     stagnation point of u at level c; for beta > MIN_CRITICAL_BETA0 the speed
     falls strictly between c_beta_plus and u_min.
     """
+    _require_finite(beta=beta, c=c)
     if beta < 0:
         raise DomainError(f"beta must be >= 0, got {beta}")
     _require_geometry(grid, 2.0 * math.pi, -1.0, 1.0, "extremum/critical example")
-    X, Y = grid.mesh()
+    X, Y = grid.x, grid.y[:, None]
     shift = beta / (0.25 * math.pi**2 + 1.0)
     u = c + shift + (math.pi / 2.0) * np.cos(X) * np.sin(math.pi * Y / 2.0)
     v = -np.sin(X) * np.cos(math.pi * Y / 2.0)
@@ -115,8 +124,9 @@ def make_kolmogorov_perturbed(eps: float, grid: Grid2D) -> WaveField:
     Satisfies -lap u = u, so every point of the centerline y = 0 is a
     generalized inflection point at level u = 0 = c.
     """
+    _require_finite(eps=eps)
     _require_geometry(grid, KOLMOGOROV_PERIOD, -math.pi, math.pi, "perturbed Kolmogorov example")
-    X, Y = grid.mesh()
+    X, Y = grid.x, grid.y[:, None]
     kx = math.sqrt(3.0) / 2.0
     u = np.sin(Y) + 0.5 * eps * np.sin(Y / 2.0) * np.sin(kx * X)
     v = kx * eps * np.cos(Y / 2.0) * np.cos(kx * X)
@@ -140,6 +150,7 @@ class GrsParams(_Grs):
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
+        _require_finite(**self._asdict())
         if not (self.a > self.b > 0.0):
             raise DomainError(f"need a > b > 0, got a={self.a}, b={self.b}")
         if not self.k > 2.0:
@@ -170,7 +181,7 @@ def make_grs_vortex(p: GrsParams, grid: Grid2D, clip_radius: float) -> WaveField
         raise DomainError(f"clip radius must be positive, got {clip_radius}")
     p.mu(clip_radius)  # raises DomainError unless mu is real out to the clip radius
 
-    X, Y = grid.mesh()
+    X, Y = grid.x, grid.y[:, None]
     Xd = X - g.L * np.round(X / g.L)  # periodic displacement from the x = 0 node
     r = np.hypot(Xd, Y)
 

@@ -11,10 +11,9 @@ angle and so is even in latitude.
 import math
 from typing import NamedTuple
 
-from .classify import profile_rigidity_bound
 from .errors import DomainError
 from .eigen import critical_beta
-from .profiles import LinearProfile, Polynomial, band_extrema, couette
+from .profiles import LinearProfile, Polynomial, band_extrema, couette, profile_rigidity_bound
 
 
 class _Planet(NamedTuple):
@@ -61,7 +60,7 @@ def band_halfwidth(band_degrees: float) -> float:
     return math.radians(0.5 * band_degrees)
 
 
-def jupiter_band_case(tol: float = 1e-2) -> dict:
+def jupiter_band_case() -> dict:
     """Jovian 38 degrees South band, two degrees wide, linearly sheared.
 
     The observed jet speeds pin the boundary values u0(-d) = -1/30 and
@@ -80,7 +79,7 @@ def jupiter_band_case(tol: float = 1e-2) -> dict:
 
     couette_crit = critical_beta(band_extrema(couette(), 1.0), tol=1e-5)
     beta_crit_scaling = (a / d) * couette_crit
-    beta_crit_solver = critical_beta(band_extrema(profile, d), tol=tol)
+    beta_crit_solver = critical_beta(band_extrema(profile, d), tol=1e-2)
 
     beta_expected = 129.0
     beta_crit_expected = 1004.0

@@ -139,6 +139,18 @@ class Kolmogorov(ShearProfile):
         return "kolmogorov"
 
 
+#: profile kind -> (parameter count, constructor); a count of None takes any number
+_KINDS = {
+    "couette": (0, couette),
+    "linear": (2, LinearProfile),
+    "parabola": (2, ConcaveParabola),
+    "cp": (1, CouettePoiseuille),
+    "bickley": (0, Bickley),
+    "kolmogorov": (0, Kolmogorov),
+    "poly": (None, lambda *coeffs: Polynomial(coeffs)),
+}
+
+
 def parse_profile(spec: str) -> ShearProfile:
     """Parse the CLI grammar: couette | linear:a,b | parabola:b,e | cp:gamma
     | bickley | kolmogorov | poly:c0,c1,...
@@ -146,46 +158,24 @@ def parse_profile(spec: str) -> ShearProfile:
     spec = spec.strip()
     head, _, arg = spec.partition(":")
     head = head.lower()
-
-    def floats(expected=None):
-        if not arg:
-            raise ProfileSpecError(f"profile '{spec}': missing parameters")
-        try:
-            vals = [float(tok) for tok in arg.split(",")]
-        except ValueError as exc:
-            raise ProfileSpecError(f"profile '{spec}': bad number ({exc})") from exc
-        if not all(math.isfinite(v) for v in vals):
-            raise ProfileSpecError(f"profile '{spec}': parameters must be finite")
-        if expected is not None and len(vals) != expected:
-            raise ProfileSpecError(
-                f"profile '{spec}': expected {expected} parameters, got {len(vals)}"
-            )
-        return vals
-
-    if head == "couette":
+    if head not in _KINDS:
+        raise ProfileSpecError(f"unknown profile kind '{head}'")
+    count, make = _KINDS[head]
+    if count == 0:
         if arg:
-            raise ProfileSpecError("couette takes no parameters")
-        return couette()
-    if head == "linear":
-        a, b = floats(2)
-        return LinearProfile(a, b)
-    if head == "parabola":
-        b, e = floats(2)
-        return ConcaveParabola(b, e)
-    if head == "cp":
-        (gamma,) = floats(1)
-        return CouettePoiseuille(gamma)
-    if head == "bickley":
-        if arg:
-            raise ProfileSpecError("bickley takes no parameters")
-        return Bickley()
-    if head == "kolmogorov":
-        if arg:
-            raise ProfileSpecError("kolmogorov takes no parameters")
-        return Kolmogorov()
-    if head == "poly":
-        return Polynomial(floats())
-    raise ProfileSpecError(f"unknown profile kind '{head}'")
+            raise ProfileSpecError(f"{head} takes no parameters")
+        return make()
+    if not arg:
+        raise ProfileSpecError(f"profile '{spec}': missing parameters")
+    try:
+        vals = [float(tok) for tok in arg.split(",")]
+    except ValueError as exc:
+        raise ProfileSpecError(f"profile '{spec}': bad number ({exc})") from exc
+    if not all(math.isfinite(v) for v in vals):
+        raise ProfileSpecError(f"profile '{spec}': parameters must be finite")
+    if count is not None and len(vals) != count:
+        raise ProfileSpecError(f"profile '{spec}': expected {count} parameters, got {len(vals)}")
+    return make(*vals)
 
 
 class ProfileOnBand(NamedTuple):
@@ -254,3 +244,16 @@ def band_extrema(profile: ShearProfile, d: float) -> ProfileOnBand:
         orientation = "none"
 
     return ProfileOnBand(profile, d, u0_min, u0_max, upp_min, upp_max, orientation)
+
+
+def profile_rigidity_bound(profile: ShearProfile, d: float, beta: float):
+    """Admissible perturbation radius (u0'')_min - beta for shear rigidity.
+
+    A traveling wave whose lap u stays within this radius of u0'' must be a
+    shear flow when the radius is positive; returns (threshold, satisfied).
+    """
+    if not (d > 0):
+        raise DomainError(f"band half-width must be positive, got d={d}")
+    band = band_extrema(profile, d)
+    threshold = band.u0pp_min - beta
+    return threshold, threshold > 0.0

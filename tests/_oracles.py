@@ -7,6 +7,9 @@
   `_level_mask` must give the same mask from column slices.
 * `scaled` and `scaling_check` state the eigenvalue scaling identity
   lambda1(beta, c; a*u0) = lambda1(beta/a, c/a; u0).
+* `*_on_mesh` evaluate the closed-form examples on full meshgrid arrays;
+  the builders in `qgwave.flows` must give the same bits from the grid's
+  1-D axes.
 """
 
 import math
@@ -193,3 +196,47 @@ def scaling_check(band, a, beta, c, tol=DEFAULT_EIGEN_TOL):
             c_rhs = band.u0_min
     rhs = principal_eigenvalue(band, beta / a, c_rhs, tol=tol, want_vector=False).lambda1
     return lhs, rhs
+
+
+def inflection_wave_on_mesh(p, grid):
+    X, Y = np.meshgrid(grid.x, grid.y)
+    lam = p.lam
+    mu = (2 * p.k + 1) * math.pi / 2.0
+    s = math.sqrt(-lam)
+    u = (
+        (p.A / p.n) * mu * np.sin(mu * Y) * np.sin(p.n * X)
+        + p.A_tilde * s * np.sin(s * Y)
+        - p.B * s * np.cos(s * Y)
+        + p.c
+        - p.beta / lam
+    )
+    v = p.A * np.cos(mu * Y) * np.cos(p.n * X)
+    return u, v
+
+
+def min_critical_wave_on_mesh(beta, c, grid):
+    X, Y = np.meshgrid(grid.x, grid.y)
+    shift = beta / (0.25 * math.pi**2 + 1.0)
+    u = c + shift + (math.pi / 2.0) * np.cos(X) * np.sin(math.pi * Y / 2.0)
+    v = -np.sin(X) * np.cos(math.pi * Y / 2.0)
+    return u, v
+
+
+def kolmogorov_perturbed_on_mesh(eps, grid):
+    X, Y = np.meshgrid(grid.x, grid.y)
+    kx = math.sqrt(3.0) / 2.0
+    u = np.sin(Y) + 0.5 * eps * np.sin(Y / 2.0) * np.sin(kx * X)
+    v = kx * eps * np.cos(Y / 2.0) * np.cos(kx * X)
+    return u, v
+
+
+def grs_vortex_on_mesh(p, grid, clip_radius):
+    L = grid.geometry.L
+    X, Y = np.meshgrid(grid.x, grid.y)
+    Xd = X - L * np.round(X / L)
+    r = np.hypot(Xd, Y)
+    inside = r < clip_radius
+    mu = np.where(inside, p.mu(np.where(inside, r, 0.0)), 0.0)
+    ramp = np.clip((r - 0.9 * clip_radius) / (0.1 * clip_radius), 0.0, 1.0)
+    mu_w = mu * (0.5 * (1.0 + np.cos(math.pi * ramp)))
+    return -Y * mu_w, Xd * mu_w

@@ -388,9 +388,9 @@ class TestUsage:
             main(["--help"])
         assert err.value.code == 0
         out = capsys.readouterr().out
-        assert "{" + ",".join(qgwave.cli._DISPATCH) + "}" in out
+        assert "{" + ",".join(qgwave.cli._SUBCOMMANDS) + "}" in out
 
-    @pytest.mark.parametrize("subcommand", list(qgwave.cli._DISPATCH))
+    @pytest.mark.parametrize("subcommand", list(qgwave.cli._SUBCOMMANDS))
     def test_subcommand_help_shows_its_arguments(self, capsys, subcommand):
         # only the named subcommand's arguments are built; its help must list them
         with pytest.raises(SystemExit) as err:
@@ -404,7 +404,8 @@ class TestUsage:
         def broken(config):
             raise KeyError("beta")
 
-        monkeypatch.setitem(qgwave.cli._DISPATCH, "eigen", broken)
+        help_text, add_arguments, _ = qgwave.cli._SUBCOMMANDS["eigen"]
+        monkeypatch.setitem(qgwave.cli._SUBCOMMANDS, "eigen", (help_text, add_arguments, broken))
         with pytest.raises(KeyError):
             main(["eigen", "--profile", "couette", "--d", "1", "--beta", "1", "--c", "-2"])
 

@@ -99,6 +99,38 @@ def test_example_to_a_pipe_is_the_whole_document(field_dir):
     json.loads(out)
 
 
+SMALL = ("--nx", "16", "--ny", "9")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--name", "ex31", "--A", "inf"),
+        ("--name", "ex31", "--A-tilde", "inf"),
+        ("--name", "ex31", "--beta", "nan"),
+        ("--name", "ex32", "--c", "inf", "--beta-mode", "beta0"),
+        ("--name", "ex33", "--eps", "inf"),
+        ("--name", "grs", "--a", "inf"),
+        ("--name", "grs", "--d", "inf"),
+    ],
+    ids=lambda argv: " ".join(argv[1:]),
+)
+def test_non_finite_example_input_is_one_json_error(tmp_path, argv):
+    code, out, err = run_process(["example", *argv, *SMALL, "-o", "f.json"], tmp_path)
+    assert (code, out) == (1, "")
+    assert "Warning" not in err
+    detail = json.loads(err)  # exactly one JSON document
+    assert detail["error"] == "DomainError"
+    assert "must be finite" in detail["message"]
+    assert not (tmp_path / "f.json").exists()
+
+
+def test_example_has_no_xi_flag(tmp_path):
+    code, out, err = run_process(["example", "--name", "ex31", "--xi", "0"], tmp_path)
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: --xi 0" in err
+
+
 def test_installed_script_freezes_the_collector_at_exit(tmp_path):
     # a handler registered before main() runs after the ones main() registers
     probe = (

@@ -24,6 +24,13 @@ from qgwave.flows import (
     make_min_critical_wave,
 )
 
+from _oracles import (
+    grs_vortex_on_mesh,
+    inflection_wave_on_mesh,
+    kolmogorov_perturbed_on_mesh,
+    min_critical_wave_on_mesh,
+)
+
 
 def channel_grid(nx=128, ny=129):
     return Grid2D(nx, ny, ChannelGeometry(2 * math.pi, -1.0, 1.0))
@@ -55,6 +62,79 @@ class TestParams:
         with pytest.raises(DomainError):
             GrsParams(k=2.0)
         assert GrsParams().mu(0.0) == 0.0
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: Example31Params(A=math.inf), "A must be finite, got A=inf"),
+            (lambda: Example31Params(A_tilde=-math.inf),
+             "A_tilde must be finite, got A_tilde=-inf"),
+            (lambda: Example31Params(B=math.nan), "B must be finite, got B=nan"),
+            (lambda: Example31Params(c=math.inf), "c must be finite, got c=inf"),
+            (lambda: Example31Params(beta=math.nan), "beta must be finite, got beta=nan"),
+            (lambda: GrsParams(a=math.inf), "a must be finite, got a=inf"),
+            (lambda: GrsParams(b=math.nan), "b must be finite, got b=nan"),
+            (lambda: GrsParams(k=math.inf), "k must be finite, got k=inf"),
+            (lambda: make_min_critical_wave(math.nan, 0.0, channel_grid()),
+             "beta must be finite, got beta=nan"),
+            (lambda: make_min_critical_wave(1.0, math.inf, channel_grid()),
+             "c must be finite, got c=inf"),
+            (lambda: make_kolmogorov_perturbed(math.inf, kolmogorov_grid()),
+             "eps must be finite, got eps=inf"),
+            (lambda: ChannelGeometry(4.0, -math.inf, math.inf),
+             "band endpoint must be finite, got d_minus=-inf"),
+            (lambda: ChannelGeometry(4.0, -2.0, math.nan),
+             "band endpoint must be finite, got d_plus=nan"),
+        ],
+    )
+    def test_rejects_non_finite_parameters_by_name(self, build, message):
+        with pytest.raises(DomainError) as err:
+            build()
+        assert str(err.value) == message
+
+
+GRID_SHAPES = [(8, 9), (64, 33), (130, 257)]
+
+
+def _same_bits(actual, expected):
+    assert actual.shape == expected.shape
+    assert np.array_equal(actual.view(np.int64), expected.view(np.int64))
+
+
+class TestAxesMatchMeshgrid:
+    """Each builder evaluates on the grid's axes; the bits equal the meshgrid formulas."""
+
+    @pytest.mark.parametrize("nx, ny", GRID_SHAPES)
+    def test_inflection_wave(self, nx, ny):
+        grid = channel_grid(nx, ny)
+        p = Example31Params(n=2, k=3, A=1.05, A_tilde=0.03, B=-0.02, c=0.1, beta=1.3)
+        wf = make_inflection_wave(p, grid)
+        for actual, expected in zip((wf.u, wf.v), inflection_wave_on_mesh(p, grid)):
+            _same_bits(actual, expected)
+
+    @pytest.mark.parametrize("nx, ny", GRID_SHAPES)
+    def test_min_critical_wave(self, nx, ny):
+        grid = channel_grid(nx, ny)
+        wf = make_min_critical_wave(MIN_CRITICAL_BETA0, 0.3, grid)
+        for actual, expected in zip(
+            (wf.u, wf.v), min_critical_wave_on_mesh(MIN_CRITICAL_BETA0, 0.3, grid)
+        ):
+            _same_bits(actual, expected)
+
+    @pytest.mark.parametrize("nx, ny", GRID_SHAPES)
+    def test_kolmogorov_perturbed(self, nx, ny):
+        grid = kolmogorov_grid(nx, ny)
+        wf = make_kolmogorov_perturbed(0.13, grid)
+        for actual, expected in zip((wf.u, wf.v), kolmogorov_perturbed_on_mesh(0.13, grid)):
+            _same_bits(actual, expected)
+
+    @pytest.mark.parametrize("nx, ny", GRID_SHAPES)
+    def test_grs_vortex(self, nx, ny):
+        grid = Grid2D(nx, ny, ChannelGeometry(4.0, -2.0, 2.0))
+        p = GrsParams(a=2.2, b=0.95, k=3.1)
+        wf = make_grs_vortex(p, grid, 1.5)
+        for actual, expected in zip((wf.u, wf.v), grs_vortex_on_mesh(p, grid, 1.5)):
+            _same_bits(actual, expected)
 
 
 class TestGeometryGuards:

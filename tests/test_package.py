@@ -49,6 +49,17 @@ def test_cli_import_loads_no_dataclasses():
     assert _fresh_python(code).strip() == "False"
 
 
+def test_rigidity_bound_lives_with_the_profiles():
+    import qgwave.profiles
+
+    assert qgwave.profile_rigidity_bound is qgwave.profiles.profile_rigidity_bound
+
+
+def test_classify_loads_no_profiles():
+    code = "import sys, qgwave.classify; print('qgwave.profiles' in sys.modules)"
+    assert _fresh_python(code).strip() == "False"
+
+
 def test_field_commands_load_no_scipy(tmp_path):
     code = f"""
 import contextlib, io, sys

@@ -101,6 +101,21 @@ class TestParse:
         with pytest.raises(ProfileSpecError):
             parse_profile(spec)
 
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("couette:1", "couette takes no parameters"),
+            ("bickley:1", "bickley takes no parameters"),
+            ("kolmogorov:1", "kolmogorov takes no parameters"),
+            ("nope", "unknown profile kind 'nope'"),
+            ("linear:1", "profile 'linear:1': expected 2 parameters, got 1"),
+        ],
+    )
+    def test_spec_error_messages(self, spec, message):
+        with pytest.raises(ProfileSpecError) as err:
+            parse_profile(spec)
+        assert str(err.value) == message
+
     def test_round_trip_spec(self):
         for spec in (
             "couette", "linear:2,3", "parabola:7,0", "cp:0.5", "bickley", "kolmogorov",
