@@ -268,48 +268,27 @@ def field_to_dict(field: WaveField) -> dict:
 
 
 def dump_field(field: WaveField, fh) -> None:
-    """Write json.dumps(field_to_dict(field), sort_keys=True) and a newline to fh.
+    """Write the field as one compact JSON document and a newline to fh.
 
-    The bytes are the same, but the document is written one row of u or v
-    at a time, so the whole field is never held as text or as Python
-    floats.  The sorted scalar keys all precede "u" and "v".  orjson
-    formats each row (_dump_row).
-    """
-    head = json.dumps(_field_scalars(field), sort_keys=True)
-    fh.write(head[:-1])  # the scalars without the closing brace
-    for key, arr in (("u", field.u), ("v", field.v)):
-        fh.write(f', "{key}": [')
-        for j, row in enumerate(arr):
-            if j:
-                fh.write(", ")
-            fh.write(_dump_row(row))
-        fh.write("]")
-    fh.write("}\n")
-
-
-def _dump_row(row: np.ndarray) -> str:
-    """json.dumps(row.tolist()) for a row of finite float64, formatted by orjson.
-
-    orjson writes the shortest round-trip digits, as repr does, but in
-    positional notation where repr switches to an exponent: for
-    0 < |x| < 1e-4 (0.00001 against 1e-05) and |x| >= 1e16 (1e16 against
-    1e+16).  Only those entries are formatted again, by repr, and the
-    entries are joined with json.dumps's ", " separator.
+    The sorted scalar keys come first, then "u" and "v"; there is no
+    whitespace.  orjson formats every number with its shortest round-trip
+    digits, and u and v are written one row at a time, so the whole field
+    is never held as text or as Python floats.
     """
     import orjson  # on first use, so that commands without field I/O never load it
 
-    row = np.ascontiguousarray(row)  # orjson rejects a strided row
-    text = orjson.dumps(row, option=orjson.OPT_SERIALIZE_NUMPY)
-    mag = np.abs(row)
-    odd = np.flatnonzero((mag >= 1e16) | ((mag < 1e-4) & (mag > 0.0)))
-    if odd.size:
-        parts = text[1:-1].split(b",")
-        for k in odd.tolist():
-            parts[k] = repr(float(row[k])).encode("ascii")
-        text = b"[" + b", ".join(parts) + b"]"
-    else:
-        text = text.replace(b",", b", ")
-    return text.decode("ascii")
+    opt = orjson.OPT_SERIALIZE_NUMPY
+    head = orjson.dumps(_field_scalars(field), option=opt | orjson.OPT_SORT_KEYS)
+    fh.write(head[:-1].decode("ascii"))  # the scalars without the closing brace
+    for key, arr in (("u", field.u), ("v", field.v)):
+        fh.write(f',"{key}":[')
+        for j, row in enumerate(arr):
+            if j:
+                fh.write(",")
+            # orjson rejects a strided row, as a transposed field has
+            fh.write(orjson.dumps(np.ascontiguousarray(row), option=opt).decode("ascii"))
+        fh.write("]")
+    fh.write("}\n")
 
 
 def _doubles(value) -> np.ndarray:
@@ -366,7 +345,7 @@ def _parse_array(s_and_end, scan_once):
     Any other array (NaN or Infinity literals, a nested row, a string, a
     truncated row) goes to json.decoder.JSONArray, with json's verdict.
     """
-    import orjson  # on first use, as in _dump_row
+    import orjson  # on first use, as in dump_field
 
     s, end = s_and_end
     j = s.find("]", end) + 1  # 0 if there is none, and orjson rejects ""

@@ -18,6 +18,7 @@ import atexit
 import gc
 import json
 import math
+import re
 import sys
 
 from . import __version__
@@ -358,6 +359,21 @@ _SUBCOMMANDS = {
 }
 
 
+# the start of every negative literal that float() reads
+_NEGATIVE_NUMBER = re.compile(r"-(?:\.?\d|inf|nan)", re.IGNORECASE)
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, but every negative number float() reads ("-1e-3",
+    "-inf", "-1.") is the value of the option before it, not an unknown
+    flag; argparse's own pattern takes only "-1" and "-0.001".  Subparsers
+    share the class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
+
 def build_parser(argv) -> argparse.ArgumentParser:
     """The parser for argv: every subcommand is registered with its help,
     but only the one argv names gets its arguments.
@@ -365,7 +381,7 @@ def build_parser(argv) -> argparse.ArgumentParser:
     The top level takes no option with a value, so the subcommand is argv's
     first token that does not start with "-".
     """
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qgwave",
         description="Eigenvalues, transitional beta values and wave classification "
         "for shear flows in a zonal channel.",

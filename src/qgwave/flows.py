@@ -177,6 +177,7 @@ def make_grs_vortex(p: GrsParams, grid: Grid2D, clip_radius: float) -> WaveField
     g = grid.geometry
     if not math.isclose(g.d_minus, -g.d_plus, rel_tol=1e-12, abs_tol=1e-12):
         raise DomainError("vortex example needs a band centered at y = 0")
+    _require_finite(clip_radius=clip_radius)
     if not (clip_radius > 0):
         raise DomainError(f"clip radius must be positive, got {clip_radius}")
     p.mu(clip_radius)  # raises DomainError unless mu is real out to the clip radius

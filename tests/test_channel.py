@@ -3,6 +3,7 @@
 import io
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -25,7 +26,7 @@ from qgwave import (
     read_field,
     write_field,
 )
-from qgwave import channel
+from qgwave import channel, cli
 from qgwave.cli import main
 from qgwave.flows import (
     KOLMOGOROV_PERIOD,
@@ -268,9 +269,27 @@ class TestFieldIO:
             WaveField(grid, z, z, c=0.0, beta=-1.0)
 
 
-def _json_dumps_bytes(wf):
-    """The field file as one json.dumps call writes it: the writer's reference."""
-    return (json.dumps(field_to_dict(wf), sort_keys=True) + "\n").encode("ascii")
+def _field_bits(wf):
+    """A field's grid sizes and the bits of every double it holds."""
+    g = wf.grid
+    scalars = np.array([*g.geometry, wf.c, wf.beta], dtype=float)
+    return g.nx, g.ny, scalars.tobytes(), wf.u.tobytes(), wf.v.tobytes()
+
+
+def _assert_written(wf, text, tmp_path):
+    """The writer's contract for wf and the text written for it: no
+    whitespace but the final newline; json.loads gives the document that
+    json.dumps(field_to_dict(wf), sort_keys=True) holds, every value bit for
+    bit, and so does read_field; a second write gives the same bytes."""
+    assert text.endswith("\n") and not re.search(r"\s", text[:-1])
+    doc = json.loads(text)
+    want = json.loads(json.dumps(field_to_dict(wf), sort_keys=True))
+    assert list(doc) == list(want)
+    assert all(_same_bits(doc[k], want[k]) for k in want)
+    path = tmp_path / "again.json"
+    write_field(wf, path)
+    assert path.read_bytes() == text.encode("ascii")
+    assert _field_bits(read_field(path)) == _field_bits(wf)
 
 
 _EXAMPLES = {
@@ -285,37 +304,42 @@ _EXAMPLES = {
 }
 
 
+def _edge_field():
+    """Signed zeros, subnormals, extremes and integral values; integer
+    geometry and beta."""
+    grid = Grid2D(8, 9, ChannelGeometry(8, -4, 4))
+    u = np.zeros(grid.shape)
+    u[0, :5] = [-0.0, 5e-324, 1e-300, 1e300, -1e300]
+    u[1, :6] = [1.0, -3.0, 2.0**53, 1e16, -1e16, 1.7976931348623157e308]
+    u[2, :4] = [1e-4, np.nextafter(1e-4, 0), -np.nextafter(1e-4, 1), -2.2250738585072014e-308]
+    v = np.full(grid.shape, -0.0)
+    v[-1, -1] = -5e-324
+    return WaveField(grid, u, v, c=-0.0, beta=2)
+
+
 class TestStreamedWriter:
-    """write_field streams row by row and must keep the bytes of json.dumps."""
+    """write_field streams row by row: one compact document that decodes to
+    json.dumps's document bit for bit, with the same bytes on every write."""
 
     @pytest.mark.parametrize("name", sorted(_EXAMPLES))
     def test_examples_match_json_dumps(self, tmp_path, name):
         wf = _EXAMPLES[name]()
         path = tmp_path / "field.json"
         write_field(wf, path)
-        assert path.read_bytes() == _json_dumps_bytes(wf)
+        _assert_written(wf, path.read_text(encoding="ascii"), tmp_path)
 
     def test_edge_values_match_json_dumps(self, tmp_path):
-        # integer geometry and beta stay integers in the header
-        grid = Grid2D(8, 9, ChannelGeometry(8, -4, 4))
-        u = np.zeros(grid.shape)
-        u[0, :5] = [-0.0, 5e-324, 1e-300, 1e300, -1e300]
-        u[1, :4] = [1.0, -3.0, 2.0**53, 1e16]
-        v = np.full(grid.shape, -0.0)
-        v[-1, -1] = -5e-324
-        wf = WaveField(grid, u, v, c=-0.0, beta=2)
+        wf = _edge_field()
         path = tmp_path / "field.json"
         write_field(wf, path)
-        text = path.read_bytes()
-        assert text == _json_dumps_bytes(wf)
-        assert b"-0.0" in text and b"5e-324" in text and b"1e+300" in text
-        back = read_field(path)
-        assert np.array_equal(back.u, u) and np.array_equal(back.v, v)
-        assert np.array_equal(np.signbit(back.v), np.signbit(v))
+        text = path.read_text(encoding="ascii")
+        _assert_written(wf, text, tmp_path)
+        # integer geometry and beta stay integers in the head
+        assert text.startswith('{"L":8,"beta":2,"c":-0.0,"d_minus":-4,"d_plus":4,"nx":8,"ny":9,')
+        assert "5e-324" in text and "1e300" in text
 
     @pytest.mark.parametrize("kind", ["bits", "neighbours", "small-and-integral"])
-    def test_property_values_match_json_dumps(self, kind):
-        # orjson formats each row; repr takes over where the notations differ
+    def test_property_values_match_json_dumps(self, tmp_path, kind):
         grid = Grid2D(64, 65, ChannelGeometry(2 * math.pi, -1, 1))
         rng = np.random.default_rng(13)
         for _ in range(4):
@@ -324,7 +348,7 @@ class TestStreamedWriter:
             wf = WaveField(grid, u, v, c=float(values[0]), beta=abs(float(values[1])))
             buf = io.StringIO()
             channel.dump_field(wf, buf)
-            assert buf.getvalue().encode("ascii") == _json_dumps_bytes(wf)
+            _assert_written(wf, buf.getvalue(), tmp_path)
 
     def test_transposed_field_matches_json_dumps(self, tmp_path):
         grid = std_grid(nx=16, ny=11)
@@ -335,8 +359,16 @@ class TestStreamedWriter:
         assert not (wf.u.flags.c_contiguous or wf.v.flags.c_contiguous)
         path = tmp_path / "field.json"
         write_field(wf, path)
-        assert path.read_bytes() == _json_dumps_bytes(wf)
+        _assert_written(wf, path.read_text(encoding="ascii"), tmp_path)
         assert _same_bits(read_field(path).u, u)
+
+    @pytest.mark.parametrize("name", [*sorted(_EXAMPLES), "edge"])
+    def test_json_dumps_layout_reads_unchanged(self, tmp_path, name):
+        # the layout that earlier versions wrote
+        wf = _edge_field() if name == "edge" else _EXAMPLES[name]()
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(field_to_dict(wf), sort_keys=True) + "\n", encoding="ascii")
+        assert _field_bits(read_field(path)) == _field_bits(wf)
 
     @pytest.mark.parametrize(
         "argv",
@@ -356,7 +388,8 @@ class TestStreamedWriter:
         assert main([*argv, "-o", str(path)]) == 0
         assert capsys.readouterr().out == ""
         assert path.read_bytes() == out.encode("ascii")
-        assert out.encode("ascii") == _json_dumps_bytes(read_field(path))
+        wf = cli._example_field(cli.build_parser(argv).parse_args(argv))
+        _assert_written(wf, out, tmp_path)
 
 
 def _writer_values(kind, rng, n):
@@ -365,8 +398,8 @@ def _writer_values(kind, rng, n):
         x = rng.integers(0, 2**64, n, dtype=np.uint64).view(np.float64)
         return np.where(np.isfinite(x), x, 0.0)
     if kind == "neighbours":
-        # repr switches to exponent notation below 1e-4 and from 1e16 on
-        x = np.concatenate([_walk(b, 40) for b in (1e-4, -1e-4, 1e16, -1e16)])
+        # repr changes notation at 1e-4 and 1e16, orjson between 1e-5 and 1e-6
+        x = np.concatenate([_walk(s * b, 40) for b in (1e-6, 1e-5, 1e-4, 1e16) for s in (1, -1)])
     else:
         sub = rng.integers(1, 2**52, n // 4, dtype=np.uint64).view(np.float64)
         ints = np.round(rng.standard_normal(n // 4) * 10.0 ** rng.integers(0, 22, n // 4))

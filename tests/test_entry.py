@@ -112,6 +112,8 @@ SMALL = ("--nx", "16", "--ny", "9")
         ("--name", "ex33", "--eps", "inf"),
         ("--name", "grs", "--a", "inf"),
         ("--name", "grs", "--d", "inf"),
+        ("--name", "grs", "--clip-radius", "inf"),
+        ("--name", "grs", "--clip-radius", "nan"),
     ],
     ids=lambda argv: " ".join(argv[1:]),
 )
@@ -123,6 +125,48 @@ def test_non_finite_example_input_is_one_json_error(tmp_path, argv):
     assert detail["error"] == "DomainError"
     assert "must be finite" in detail["message"]
     assert not (tmp_path / "f.json").exists()
+
+
+EIGEN = ("eigen", *BAND, "--beta", "2", "--c")
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        ((*EIGEN, "-1.5e0"), 0),
+        ((*EIGEN, "-1.5e0", "--json"), 0),
+        ((*EIGEN, "-1E+0"), 0),
+        ((*EIGEN, "-1."), 0),
+        ((*EIGEN, "-1_0e-1"), 0),
+        ((*EIGEN, "-1e-3"), 1),
+        ((*EIGEN, "-inf"), 1),
+        ((*EIGEN, "-Infinity"), 1),
+        ((*EIGEN, "-nan"), 1),
+        ((*EIGEN, "min", "--tol", "-1e-3"), 2),
+        (("root-c", *BAND, "--beta", "-1e-3", "--L", "4"), 1),
+        (("curve", *BAND, "--beta-min", "-1e-1", "--beta-max", "1", "--n", "2"), 0),
+    ],
+    ids=lambda x: " ".join(x) if isinstance(x, tuple) else None,
+)
+def test_negative_value_after_its_flag(capsys, argv, code):
+    # argparse's own pattern takes only plain decimals such as -0.001
+    k = next(i for i, a in enumerate(argv) if a[:1] == "-" and a[1:2] != "-")
+    glued = [*argv[:k - 1], f"{argv[k - 1]}={argv[k]}", *argv[k + 1:]]
+    got = run_in_process(argv, capsys)
+    assert got == run_in_process(glued, capsys)
+    assert got[0] == code
+
+
+def test_negative_number_pattern_takes_every_float_literal():
+    from qgwave.cli import _NEGATIVE_NUMBER
+
+    numbers = ["-1", "-1.", "-.5", "-1e5", "-1E-5", "-1e+5", "-1.5e0", "-1_000.5", "-inf",
+               "-INF", "-Infinity", "-nan", "-NaN", "-1 ", "-\u0661"]
+    for text in numbers:
+        float(text)
+        assert _NEGATIVE_NUMBER.match(text), text
+    for text in ["-x", "-o", "-h", "--c", "--json", "-e5", "-.", "-+1", "-_1"]:
+        assert not _NEGATIVE_NUMBER.match(text), text
 
 
 def test_example_has_no_xi_flag(tmp_path):

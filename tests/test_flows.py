@@ -81,6 +81,10 @@ class TestParams:
              "c must be finite, got c=inf"),
             (lambda: make_kolmogorov_perturbed(math.inf, kolmogorov_grid()),
              "eps must be finite, got eps=inf"),
+            (lambda: make_grs_vortex(GrsParams(), channel_grid(), math.inf),
+             "clip_radius must be finite, got clip_radius=inf"),
+            (lambda: make_grs_vortex(GrsParams(), channel_grid(), math.nan),
+             "clip_radius must be finite, got clip_radius=nan"),
             (lambda: ChannelGeometry(4.0, -math.inf, math.inf),
              "band endpoint must be finite, got d_minus=-inf"),
             (lambda: ChannelGeometry(4.0, -2.0, math.nan),
