@@ -106,8 +106,8 @@ def _cmd_eigen(args):
 def _cmd_critical_beta(args):
     band = _band(args)
     bc = critical_beta(band, tol=args.tol)
-    # achieved error proxy: the eigenvalue left at the returned root,
-    # resolved in the problem's natural units pi^2/(4 d^2)
+    # independent check through principal_eigenvalue: lambda1 left at the
+    # returned root, resolved in the problem's natural units pi^2/(4 d^2)
     scale = (math.pi / (2.0 * band.d)) ** 2
     res = principal_eigenvalue(band, bc, band.u0_min, tol=1e-6 * scale, want_vector=False)
     payload = {"beta_crit": bc, "residual_lambda1": res.lambda1}

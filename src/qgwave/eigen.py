@@ -27,6 +27,12 @@ roots 0 and 1 and no log term, and the raw iterates there show ratio 4.
 Decreasing profiles are reflected y -> -y first, which leaves every
 eigenvalue unchanged and pins the singular wall at y = -d, so a single code
 path serves both orientations.
+
+The transitional beta comes from the same ladder on a symmetrized pencil:
+at c = u0_min a rung's matrix is A - beta*D with D = diag(1/g) and
+g = u0 - u0_min > 0 at the interior nodes, so the discrete beta_crit is the
+smallest eigenvalue of the tridiagonal D^{-1/2} A D^{-1/2} (Parlett, The
+Symmetric Eigenvalue Problem, SIAM 1998, ch. 15).
 """
 
 import functools
@@ -53,7 +59,6 @@ DEFAULT_EIGEN_TOL = 1e-6
 DEFAULT_ROOT_TOL = 1e-4
 _N_START = 256
 _N_MAX = 1 << 20
-_BETA_MAX = 1e9
 
 
 def _oriented_profile(band: ProfileOnBand, beta: float, c: float) -> Callable:
@@ -102,8 +107,8 @@ class EigenResult(NamedTuple):
     c: float
 
 
-def _rayleigh_quotient(vec, Vy, h):
-    """Quadratic form of the discretization evaluated without cancellation.
+def _rayleigh_quotient(vec, Vy, h, weight=1.0):
+    """Quadratic form of the discretization over sum(weight * vec^2), without cancellation.
 
     vec' T vec  ==  sum((vec_{i+1} - vec_i)^2) / h^2 + sum(V_i vec_i^2)
     with the Dirichlet zeros appended, so every term stays O(1) even though
@@ -113,7 +118,7 @@ def _rayleigh_quotient(vec, Vy, h):
     """
     edges = np.diff(vec, prepend=0.0, append=0.0)
     num = float(edges @ edges) / (h * h) + float(Vy @ (vec * vec))
-    return num / float(vec @ vec)
+    return num / float(vec @ (weight * vec))
 
 
 @functools.cache
@@ -154,38 +159,65 @@ def _check_info(info, routine):
         raise np.linalg.LinAlgError(f"{routine} did not converge (LAPACK info={info})")
 
 
-def _solve_rung(V, d, n):
-    """Smallest eigenvalue and ground-state vector on N = n intervals.
+def _ground_vector(diag, off):
+    """Ground-state eigenvector of the symmetric tridiagonal matrix (diag, off).
 
-    Sturm-sequence bisection (LAPACK dstebz) isolates the eigenvalue,
-    inverse iteration (dstein) yields the eigenvector, and the stable
-    Rayleigh quotient restores near-machine absolute accuracy for the
-    eigenvalue itself.  The two routines are the ones
-    scipy.linalg.eigh_tridiagonal(select="i") calls, called directly with
-    its arguments and checks, so the results are bit-identical to it; the
-    single-node matrix of N = 2 is its own eigenvector, as there.
+    dstebz and dstein with scipy.linalg.eigh_tridiagonal(select="i")'s
+    arguments and checks, so bit-identical to it; one node is its own vector.
     """
+    diag = np.asarray_chkfinite(diag)
+    off = np.asarray_chkfinite(off)
+    if len(diag) == 1:
+        return np.ones(1)
+    lapack = _lapack()
+    # by index (range 2), il = iu = 1; vl, vu unused; abstol 0 is LAPACK's default
+    m, w, iblock, isplit, info = lapack.dstebz(diag, off, 2, 0.0, 1.0, 1, 1, 0.0, "B")
+    _check_info(info, "dstebz")
+    vecs, info = lapack.dstein(diag, off, w[:m], iblock, isplit)
+    _check_info(info, "dstein")
+    return vecs[:, 0]
+
+
+def _solve_rung(V, d, n):
+    """Smallest eigenvalue (stable Rayleigh quotient) and ground state on N = n intervals."""
     h = 2.0 * d / n
     y = -d + h * np.arange(1, n)
     Vy = np.asarray(V(y), dtype=float)
-    diag = np.asarray_chkfinite(2.0 / (h * h) + Vy)
-    off = np.asarray_chkfinite(np.full(n - 2, -1.0 / (h * h)))
-
-    if n == 2:
-        vec = np.ones(1)
-    else:
-        lapack = _lapack()
-        # by index (range 2), il = iu = 1; vl, vu unused; abstol 0 is LAPACK's default
-        m, w, iblock, isplit, info = lapack.dstebz(diag, off, 2, 0.0, 1.0, 1, 1, 0.0, "B")
-        _check_info(info, "dstebz")
-        vecs, info = lapack.dstein(diag, off, w[:m], iblock, isplit)
-        _check_info(info, "dstein")
-        vec = vecs[:, 0]
+    vec = _ground_vector(2.0 / (h * h) + Vy, np.full(n - 2, -1.0 / (h * h)))
     lam = _rayleigh_quotient(vec, Vy, h)
     if vec[int(np.argmax(np.abs(vec)))] < 0:
         vec = -vec
     vec = vec / math.sqrt(h * float(np.sum(vec * vec)))
     return lam, vec
+
+
+def _ladder(rung, tol, n_start, n_max):
+    """Refine rung(n) -> (eigenvalue, vector) from n_start by N -> 2N until |E(2N) - E(N)| < tol.
+
+    Returns (E, |E(2N) - E(N)|, final N, final vector, (N, eigenvalue) history).
+    """
+    n = n_start
+    lam_prev, vec = rung(n)
+    history = [(n, lam_prev)]
+    ext_prev = None
+    while True:
+        n *= 2
+        if n > n_max:
+            msg = f"eigenvalue ladder reached N={n // 2} without |E(2N)-E(N)| < {tol}"
+            if len(history) >= 3:
+                (_, a), (_, b), (_, z) = history[-3:]
+                msg += (f"; last raw ratio (lambda(N/2)-lambda(N/4))/(lambda(N)-lambda(N/2)) = "
+                        f"{(b - a) / (z - b) if z != b else math.inf:.6g} (4 for h^2 "
+                        f"convergence), last |E(2N)-E(N)| = {diff:.3g}")
+            raise ConvergenceError(msg, last_iterates=history[-2:])
+        lam, vec = rung(n)
+        history.append((n, lam))
+        ext = (4.0 * lam - lam_prev) / 3.0
+        if ext_prev is not None:
+            diff = abs(ext - ext_prev)
+            if diff < tol:
+                return ext, diff, n, vec, tuple(history)
+        lam_prev, ext_prev = lam, ext
 
 
 def principal_eigenvalue(
@@ -213,96 +245,68 @@ def principal_eigenvalue(
         u0, _, u0pp = u(y)
         return -(beta - u0pp) / (u0 - c)
 
-    d = band.d
-
-    n = n_start
-    lam_prev, vec = _solve_rung(V, d, n)
-    history = [(n, lam_prev)]
-    ext_prev = None
-    while True:
-        n *= 2
-        if n > n_max:
-            msg = f"eigenvalue ladder reached N={n // 2} without |E(2N)-E(N)| < {tol}"
-            if len(history) >= 3:
-                (_, a), (_, b), (_, z) = history[-3:]
-                msg += (f"; last raw ratio (lambda(N/2)-lambda(N/4))/(lambda(N)-lambda(N/2)) = "
-                        f"{(b - a) / (z - b) if z != b else math.inf:.6g} (4 for h^2 "
-                        f"convergence), last |E(2N)-E(N)| = {diff:.3g}")
-            raise ConvergenceError(msg, last_iterates=history[-2:])
-        lam, vec = _solve_rung(V, d, n)
-        history.append((n, lam))
-        ext = (4.0 * lam - lam_prev) / 3.0
-        if ext_prev is not None:
-            diff = abs(ext - ext_prev)
-            if diff < tol:
-                break
-        lam_prev, ext_prev = lam, ext
-
+    ext, diff, n, vec, history = _ladder(lambda n: _solve_rung(V, band.d, n), tol, n_start, n_max)
     return EigenResult(
         lambda1=ext,
         eigvec=vec if want_vector else None,
         n_used=n - 1,
         est_error=diff,
-        history=tuple(history),
+        history=history,
         beta=beta,
         c=c,
     )
 
 
-def _eigen_slopes(band: ProfileOnBand, res: EigenResult) -> tuple:
-    """(d(lambda1)/d(beta), d(lambda1)/d(c)) at (res.beta, res.c) by Hellmann-Feynman.
+def _c_slope(band: ProfileOnBand, res: EigenResult) -> float:
+    """d(lambda1)/d(c) at (res.beta, res.c) by Hellmann-Feynman.
 
-    The potential is -(beta - u0'')/(u0 - c), so the slopes are
-    -integral(phi^2 / (u0 - c)) and -integral((beta - u0'') phi^2 / (u0 - c)^2),
-    by the trapezoid rule over res.eigvec on its final grid.
+    The potential is -(beta - u0'')/(u0 - c), so the slope is
+    -integral((beta - u0'') phi^2 / (u0 - c)^2), by the trapezoid rule over
+    res.eigvec on its final grid.
     """
     u = _oriented_profile(band, res.beta, res.c)
     h = 2.0 * band.d / (res.n_used + 1)
     y = -band.d + h * np.arange(1, res.n_used + 1)
     u0, _, u0pp = u(y)
     w = res.eigvec**2 / (u0 - res.c)
-    return -h * float(np.sum(w)), -h * float(np.sum((res.beta - u0pp) * w / (u0 - res.c)))
+    return -h * float(np.sum((res.beta - u0pp) * w / (u0 - res.c)))
+
+
+def _pencil_rung(u, u0_min, d, n):
+    """Smallest eigenvalue of the symmetrized pencil, and its phi, on N = n intervals.
+
+    The matrix has diagonal 2 g/h^2 + u0'' and off-diagonal
+    -sqrt(g_i g_{i+1})/h^2; its eigenvector z gives phi = sqrt(g) z, whose
+    stable Rayleigh quotient with potential u0''/g and weight 1/g is returned.
+    """
+    h = 2.0 * d / n
+    u0, _, u0pp = u(-d + h * np.arange(1, n))
+    g = u0 - u0_min
+    root_g = np.sqrt(g)
+    phi = root_g * _ground_vector(2.0 * g / (h * h) + u0pp, -(root_g[:-1] * root_g[1:]) / (h * h))
+    return _rayleigh_quotient(phi, u0pp / g, h, 1.0 / g), phi
 
 
 def critical_beta(band: ProfileOnBand, tol: float = DEFAULT_ROOT_TOL) -> float:
     """Transitional beta: the unique root of lambda1(beta, u0_min) = 0.
 
-    At c = u0_min the discrete operator is T0 - beta * diag(1 / (u0 - u0_min))
-    with a positive diagonal, so its smallest eigenvalue is a minimum of
-    functions affine in beta: concave and strictly decreasing, with
-    lambda1(0, u0_min) > 0 for a monotone profile.  Newton's tangent then lies
-    above the curve, so the first step from beta = 0 lands on or right of the
-    root and the iterates decrease monotonically onto it with no bracket.  The
-    slope is the Hellmann-Feynman derivative from _eigen_slopes, and the
-    inner eigenvalue tolerance follows it so each step resolves the root to
-    the requested beta tolerance at every band scale.
+    One ladder of the symmetrized pencil's smallest eigenvalue (module
+    docstring), refined to |E(2N) - E(N)| < tol in beta units.  By
+    Sylvester's law of inertia it is <= 0 exactly when lambda1(0, u0_min) <= 0,
+    which raises ConvergenceError.
     """
     if not band.monotone:
         raise DomainError("critical_beta needs a monotone profile on the band")
     if not (tol > 0):
         raise DomainError(f"tolerance must be positive, got {tol}")
-
-    scale = math.pi**2 / (4.0 * band.d * band.d)
-    coarse = 1e-4 * scale
-
-    res = principal_eigenvalue(band, 0.0, band.u0_min, tol=coarse)
-    lam, slope = res.lambda1, _eigen_slopes(band, res)[0]
-    if lam <= 0.0:
+    u = _oriented_profile(band, 0.0, band.u0_min)
+    beta = _ladder(lambda n: _pencil_rung(u, band.u0_min, band.d, n), tol, _N_START, _N_MAX)[0]
+    if beta <= 0.0:
         raise ConvergenceError(
-            f"lambda1(0, u0_min) = {lam} <= 0; expected positive for a monotone profile"
+            f"smallest pencil eigenvalue {beta} <= 0, so lambda1(0, u0_min) <= 0; "
+            "expected positive for a monotone profile"
         )
-    beta = 0.0
-    for _ in range(100):
-        step = -lam / slope
-        beta += step
-        if beta > _BETA_MAX:
-            raise DivergenceError(f"Newton iterate for the root passed beta = {_BETA_MAX}")
-        if abs(step) < 0.5 * tol:
-            return beta
-        inner = min(coarse, max(abs(slope) * tol / 8.0, 1e-13 * scale))
-        res = principal_eigenvalue(band, beta, band.u0_min, tol=inner)
-        lam, slope = res.lambda1, _eigen_slopes(band, res)[0]
-    raise ConvergenceError(f"Newton iteration for beta_crit did not reach {tol} in 100 steps")
+    return beta
 
 
 def lambda_inf_over_c(band: ProfileOnBand, beta: float, tol: float = DEFAULT_EIGEN_TOL):
@@ -363,7 +367,7 @@ def wave_speed_root(band: ProfileOnBand, beta: float, L: float, tol: float = DEF
     guaranteed and NoRootError reports both values; if the two agree within
     tol, the solve at u0_min is returned.  Otherwise one safeguarded Newton
     loop (rtsafe, Numerical Recipes 9.4) on f = lambda1 - target with the
-    slope d(lambda1)/d(c) from _eigen_slopes starts at u0_min.  An iterate
+    slope d(lambda1)/d(c) from _c_slope starts at u0_min.  An iterate
     with f < 0 moves the near end, one with f > 0 sets the far end, and a
     step out of the known interval becomes a bisection once a far end
     exists, else a point 4x farther from u0_min (1 below it at first).  Each
@@ -393,7 +397,7 @@ def wave_speed_root(band: ProfileOnBand, beta: float, L: float, tol: float = DEF
     t = t_near = 0.0
     t_far = math.inf
     for _ in range(200):
-        df_dt = -_eigen_slopes(band, res)[1]
+        df_dt = -_c_slope(band, res)
         t = t - f / df_dt if df_dt > 0.0 else t_near  # wrong-sign slope: safeguard
         if not (t_near < t < t_far):
             t = 0.5 * (t_near + t_far) if t_far < math.inf else max(4.0 * t_near, 1.0)

@@ -39,8 +39,7 @@ class ConvergenceError(QgwaveError, RuntimeError):
 
 
 class DivergenceError(QgwaveError, RuntimeError):
-    """A search ran past its safety bound: Newton for beta_crit beyond 1e9, or
-    the wave-speed search beyond t = u0_min - c = 1e12."""
+    """The wave-speed search ran past its safety bound t = u0_min - c = 1e12."""
 
 
 class NoRootError(QgwaveError, RuntimeError):

@@ -10,6 +10,9 @@
 * `*_on_mesh` evaluate the closed-form examples on full meshgrid arrays;
   the builders in `qgwave.flows` must give the same bits from the grid's
   1-D axes.
+* `critical_beta_reference` collocates the transitional-beta problem on
+  Chebyshev nodes with numpy alone; `critical_beta` must agree within its
+  tolerance on every monotone band where the reference converges.
 """
 
 import math
@@ -240,3 +243,51 @@ def grs_vortex_on_mesh(p, grid, clip_radius):
     ramp = np.clip((r - 0.9 * clip_radius) / (0.1 * clip_radius), 0.0, 1.0)
     mu_w = mu * (0.5 * (1.0 + np.cos(math.pi * ramp)))
     return -Y * mu_w, Xd * mu_w
+
+
+def _cheb(n):
+    """Chebyshev-Gauss-Lobatto nodes cos(pi j / n) and their differentiation matrix.
+
+    Trefethen, Spectral Methods in MATLAB (SIAM 2000), program cheb.m.
+    """
+    x = np.cos(np.pi * np.arange(n + 1) / n)
+    w = np.ones(n + 1)
+    w[0] = w[-1] = 2.0
+    w *= (-1.0) ** np.arange(n + 1)
+    dx = x[:, None] - x[None, :]
+    D = np.outer(w, 1.0 / w) / (dx + np.eye(n + 1))
+    D -= np.diag(D.sum(axis=1))
+    return x, D
+
+
+def _collocated_beta_crit(band, n):
+    x, D = _cheb(n)
+    y = band.d * x[1:-1]
+    u0, _, u0pp = band.profile.eval(y)
+    D2 = (D @ D)[1:-1, 1:-1] / (band.d * band.d)
+    # -g phi'' + u0'' phi = beta phi with g = u0 - u0_min, phi(+-d) = 0
+    ev = np.linalg.eigvals(-(u0 - band.u0_min)[:, None] * D2 + np.diag(u0pp))
+    real = ev.real[np.abs(ev.imag) <= 1e-9 * np.abs(ev)]
+    return float(np.min(real))
+
+
+def critical_beta_reference(band, n=48):
+    """Transitional beta of a monotone band by Chebyshev collocation, numpy only.
+
+    At c = u0_min, lambda1(beta, u0_min) = 0 reads -g phi'' + u0'' phi =
+    beta phi with g = u0 - u0_min, which is invariant under y -> -y, so
+    either orientation collocates as is.  The interior Gauss-Lobatto nodes
+    never touch the singular wall.  Returns the smallest real eigenvalue on
+    2n intervals, and refuses a band where n and 2n intervals differ by more
+    than 1e-10 relative.
+    """
+    if not band.monotone:
+        raise DomainError("critical_beta_reference needs a monotone profile on the band")
+    coarse = _collocated_beta_crit(band, n)
+    fine = _collocated_beta_crit(band, 2 * n)
+    if not abs(fine - coarse) <= 1e-10 * abs(fine):
+        raise ValueError(
+            f"Chebyshev reference not converged: {coarse!r} on {n} intervals, "
+            f"{fine!r} on {2 * n}"
+        )
+    return fine

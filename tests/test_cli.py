@@ -96,6 +96,15 @@ class TestCriticalBeta:
             capsys, "critical-beta", "--profile", "kolmogorov", "--d", "3.14159"
         )
         assert code == 1
+        # the vertex y = 0.25 lies inside the band; the monotone guard runs
+        # ahead of the pencil, which would return a number here
+        code, _, err = run_cli(capsys, "critical-beta", "--profile", "parabola:0.5,0", "--d", "1")
+        assert code == 1
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert json.loads(err) == {
+            "error": "DomainError",
+            "message": "critical_beta needs a monotone profile on the band",
+        }
 
 
 class TestCurve:

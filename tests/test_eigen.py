@@ -12,6 +12,7 @@ the finite-difference path:
 """
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -37,9 +38,35 @@ from qgwave import (
 )
 from qgwave.profiles import Kolmogorov
 
-from _oracles import scaling_check
+from _oracles import critical_beta_reference, scaling_check
 
 BESSEL_BETA_CRIT = float(jn_zeros(1, 1)[0]) ** 2 / 8.0  # 1.8352463302654868
+
+
+def _seeded_monotone_bands(seed=20261020):
+    """(profile, d) pairs that are monotone on their band by construction.
+
+    Linear profiles of either slope sign with d in [0.5, 2]; the parabola
+    table entries (7, 1) and (8, 3) scaled by k in [0.5, 2], which leaves
+    beta_crit unchanged; and poly:0,1,s,t on d = 1 with 2|s| + 3|t| < 1,
+    where u0' = 1 + 2 s y + 3 t y^2 > 0.
+    """
+    rng = random.Random(seed)
+    bands = []
+    for sign in (1.0, -1.0, 1.0, -1.0):
+        a = sign * rng.uniform(0.2, 3.0)
+        bands.append((LinearProfile(a, rng.uniform(-1.0, 1.0)), rng.uniform(0.5, 2.0)))
+    for b0, d0 in ((7.0, 1.0), (8.0, 3.0)):
+        k = rng.uniform(0.5, 2.0)
+        bands.append((ConcaveParabola(k * b0, rng.uniform(-1.0, 1.0)), k * d0))
+    for _ in range(4):
+        s, t = rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)
+        shrink = rng.uniform(0.0, 1.0) / (2.0 * abs(s) + 3.0 * abs(t))
+        bands.append((Polynomial((0.0, 1.0, shrink * s, shrink * t)), 1.0))
+    return bands
+
+
+SEEDED_BANDS = _seeded_monotone_bands()
 
 
 @pytest.fixture(scope="module")
@@ -339,6 +366,20 @@ class TestCriticalBeta:
     def test_parabola_table_entry(self):
         band = band_extrema(ConcaveParabola(9.0), 3.0)
         assert critical_beta(band, tol=1e-4) == pytest.approx(5.8648, abs=2e-2)
+        assert abs(critical_beta(band, tol=1e-10) - critical_beta_reference(band)) <= 1e-10
+
+    @pytest.mark.parametrize("rel_tol", [1e-6, 1e-9])
+    @pytest.mark.parametrize(
+        "profile,d",
+        SEEDED_BANDS,
+        ids=[f"{p.spec().split(':')[0]}{i}" for i, (p, _) in enumerate(SEEDED_BANDS)],
+    )
+    def test_matches_chebyshev_reference(self, profile, d, rel_tol):
+        band = band_extrema(profile, d)
+        assert band.monotone
+        ref = critical_beta_reference(band)
+        tol = rel_tol * ref
+        assert abs(critical_beta(band, tol=tol) - ref) <= tol
 
     def test_rejects_nonmonotone(self):
         with pytest.raises(DomainError):
@@ -349,21 +390,41 @@ class TestCriticalBeta:
         down = critical_beta(band_extrema(LinearProfile(-2.0, 0.0), 1.0), tol=1e-5)
         assert up == pytest.approx(down, abs=2e-5)
 
-    @pytest.mark.parametrize("tol", [1e-4, 1e-6, 1e-8])
-    def test_newton_few_solves_within_tol(self, couette_band, monkeypatch, tol):
-        # lambda1(beta, u0_min) is concave, so Newton from beta = 0 needs no
-        # bracket and converges in a handful of eigen solves
-        calls = []
-        solve = qgwave.eigen.principal_eigenvalue
+    @pytest.mark.parametrize("tol", [1e-4, 1e-6, 1e-8, 1e-10])
+    def test_one_ladder_within_tol(self, couette_band, monkeypatch, tol):
+        # beta_crit is the smallest eigenvalue of one symmetrized pencil per
+        # rung: no principal_eigenvalue solve, and one short ladder
+        calls, rungs = [], []
+        solve, rung = qgwave.eigen.principal_eigenvalue, qgwave.eigen._pencil_rung
 
         def counted(*args, **kwargs):
             calls.append(args)
             return solve(*args, **kwargs)
 
+        def counted_rung(*args):
+            rungs.append(args[-1])
+            return rung(*args)
+
         monkeypatch.setattr(qgwave.eigen, "principal_eigenvalue", counted)
+        monkeypatch.setattr(qgwave.eigen, "_pencil_rung", counted_rung)
         bc = critical_beta(couette_band, tol=tol)
         assert abs(bc - BESSEL_BETA_CRIT) <= tol
-        assert len(calls) <= 8
+        assert calls == []
+        if tol >= 1e-8:
+            assert len(rungs) <= 4
+
+    def test_nonpositive_pencil_eigenvalue_raises(self, couette_band, monkeypatch):
+        # by Sylvester's law of inertia the pencil's smallest eigenvalue is
+        # <= 0 exactly when lambda1(0, u0_min) <= 0
+        rung = qgwave.eigen._pencil_rung
+
+        def shifted(*args):
+            lam, phi = rung(*args)
+            return lam - 10.0, phi
+
+        monkeypatch.setattr(qgwave.eigen, "_pencil_rung", shifted)
+        with pytest.raises(ConvergenceError, match="lambda1\\(0, u0_min\\) <= 0"):
+            critical_beta(couette_band, tol=1e-6)
 
 
 class TestInfOverC:
@@ -498,7 +559,7 @@ class TestWaveSpeedRoot:
     def test_safeguards_still_find_root(self, couette_band, monkeypatch, slope):
         tol = 1e-6
         ref = wave_speed_root(couette_band, 10.0, 4.0, tol=tol)
-        slopes = qgwave.eigen._eigen_slopes
+        slopes = qgwave.eigen._c_slope
         calls = []
         solve = qgwave.eigen.principal_eigenvalue
 
@@ -508,10 +569,9 @@ class TestWaveSpeedRoot:
             return res
 
         def patched(band, res):
-            d_beta, d_c = slopes(band, res)
-            return d_beta, slope(d_c)
+            return slope(slopes(band, res))
 
-        monkeypatch.setattr(qgwave.eigen, "_eigen_slopes", patched)
+        monkeypatch.setattr(qgwave.eigen, "_c_slope", patched)
         monkeypatch.setattr(qgwave.eigen, "principal_eigenvalue", counted)
         res = wave_speed_root(couette_band, 10.0, 4.0, tol=tol)
         assert abs(res.lambda1 + (2 * math.pi / 4.0) ** 2) <= 0.75 * tol
@@ -529,7 +589,7 @@ class TestWaveSpeedRoot:
             return end._replace(lambda1=-1e6, c=c)
 
         monkeypatch.setattr(qgwave.eigen, "principal_eigenvalue", never_reaches)
-        monkeypatch.setattr(qgwave.eigen, "_eigen_slopes", lambda band, res: (0.0, 0.0))
+        monkeypatch.setattr(qgwave.eigen, "_c_slope", lambda band, res: 0.0)
         with pytest.raises(DivergenceError):
             wave_speed_root(couette_band, 10.0, 4.0)
         assert calls[1:3] == [-2.0, -5.0]
