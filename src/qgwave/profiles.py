@@ -1,9 +1,9 @@
 """Closed-form shear profiles u0(y) with exact first and second derivatives.
 
 Every profile evaluates (u0, u0', u0'') in closed form so the eigenvalue
-solver never differentiates numerically.  band_extrema certifies extrema and
-monotonicity of a profile over a band [-d, d]: exactly for polynomials of
-degree <= 2, otherwise by a dense scan refined with golden-section search.
+solver never differentiates numerically, and names the exact points of a
+band [-d, d] where u0' and u0''' vanish.  band_extrema certifies extrema and
+monotonicity over the band from eval at the walls and at those points.
 """
 
 import math
@@ -12,10 +12,6 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .errors import DomainError, ProfileSpecError
-from .golden import golden_min
-
-_SCAN_POINTS = 4097
-_REFINE_TOL = 1e-12
 
 
 def _num(x: float) -> str:
@@ -25,17 +21,56 @@ def _num(x: float) -> str:
 
 
 class ShearProfile:
-    """Base class: subclasses provide eval() and a spec string."""
+    """Base class: subclasses provide eval(), stationary_points() and a spec string."""
 
     def eval(self, y):
         """Return (u0, u0', u0'') at y; accepts scalars or arrays."""
         raise NotImplementedError
+
+    def stationary_points(self, d):
+        """The zeros of u0' and of u0''' on [-d, d], as two lists of floats."""
+        raise NotImplementedError(f"{type(self).__name__} names no stationary points")
 
     def spec(self) -> str:
         raise NotImplementedError
 
     def __repr__(self):
         return f"<ShearProfile {self.spec()}>"
+
+
+def _poly_zeros(coeffs, m, d):
+    """The zeros on [-d, d] of p, the m-th derivative of sum(c_k y^k), each
+    rounded to a float; a wall stands for them when p = 0.  A Sturm chain in
+    exact rational arithmetic counts the zeros in (a, b] as V(a) - V(b), V(x)
+    its sign changes at x; bisection on the counts ends at neighbouring floats."""
+    if len(coeffs := np.trim_zeros(coeffs, "b")) <= m + 1:  # p is a constant
+        return [] if len(coeffs) > m else [-d]
+    from fractions import Fraction
+    from numpy.polynomial import polynomial as P
+
+    p = P.polyder(np.array([Fraction(c) for c in coeffs], dtype=object), m)
+    chain = [p, P.polyder(p)]
+    while len(chain[-1]) > 1 and (rem := P.polydiv(chain[-2], chain[-1])[1]).any():
+        chain.append(-rem)
+    # divided by gcd(p, p'), its last member, the chain counts right at a repeated zero too
+    chain = [P.polydiv(c, chain[-1])[0] for c in chain]
+
+    def at(x):  # (whether p(x) = 0, V(x))
+        vals = [P.polyval(Fraction(x), c) for c in chain]
+        signs = [v > 0 for v in vals if v]
+        return vals[0] == 0, sum(s != t for s, t in zip(signs, signs[1:]))
+
+    todo = [(-d, at(-d), d, at(d))]
+    zeros = [-d] if todo[0][1][0] else []
+    while todo:
+        a, at_a, b, at_b = todo.pop()
+        n, mid = at_a[1] - at_b[1], a / 2 + b / 2
+        if n and (n == 1 and at_b[0] or not a < mid < b):  # b is the zero, or no float is between
+            zeros.append(min(b, a, key=lambda x: abs(P.polyval(Fraction(x), p))))
+        elif n:
+            at_m = at(mid)
+            todo += [(a, at_a, mid, at_m), (mid, at_m, b, at_b)]
+    return sorted(zeros)
 
 
 class Polynomial(ShearProfile):
@@ -63,6 +98,9 @@ class Polynomial(ShearProfile):
             self._horner(self._d1, y) if self._d1 else np.zeros_like(y),
             self._horner(self._d2, y) if self._d2 else np.zeros_like(y),
         )
+
+    def stationary_points(self, d):
+        return _poly_zeros(self.coeffs, 1, d), _poly_zeros(self.coeffs, 3, d)
 
     def spec(self):
         return "poly:" + ",".join(_num(c) for c in self.coeffs)
@@ -120,6 +158,11 @@ class Bickley(ShearProfile):
         s2 = s * s
         return -s2, 2.0 * s2 * t, 2.0 * s2 * s2 - 4.0 * s2 * t * t
 
+    def stationary_points(self, d):
+        # u0' = 2 sech^2 tanh and u0''' = 8 tanh sech^2 (3 tanh^2 - 2)
+        y = math.atanh(math.sqrt(2.0 / 3.0))
+        return [0.0], [0.0] + ([-y, y] if y <= d else [])
+
     def spec(self):
         return "bickley"
 
@@ -134,6 +177,12 @@ class Kolmogorov(ShearProfile):
     def eval(self, y):
         y = np.asarray(y, dtype=float)
         return np.sin(y), np.cos(y), -np.sin(y)
+
+    def stationary_points(self, d):
+        # u0' = cos y = -u0''' vanishes at the odd multiples of pi/2, which repeat (u0, u0'')
+        # at +-pi/2; the float pi/2 falls short of pi/2, so d reaches pi/2 when it exceeds it
+        ys = [-0.5 * math.pi, 0.5 * math.pi] if 0.5 * math.pi < d else []
+        return ys, ys
 
     def spec(self):
         return "kolmogorov"
@@ -179,10 +228,10 @@ def parse_profile(spec: str) -> ShearProfile:
 
 
 class ProfileOnBand(NamedTuple):
-    """A profile restricted to [-d, d] with certified extrema.
+    """A profile restricted to [-d, d] with extrema certified by its exact stationary points.
 
     orientation is 'increasing' or 'decreasing' when u0' keeps a strict sign
-    on the whole band, else 'none'.
+    on the whole closed band, else 'none'.
     """
 
     profile: ShearProfile
@@ -198,52 +247,20 @@ class ProfileOnBand(NamedTuple):
         return self.orientation != "none"
 
 
-def _refined_extrema(f, xs, vals):
-    """Min/max of f over [xs[0], xs[-1]] from samples plus golden refinement."""
-    lo_idx = int(np.argmin(vals))
-    hi_idx = int(np.argmax(vals))
-    vmin = float(vals[lo_idx])
-    vmax = float(vals[hi_idx])
-    if 0 < lo_idx < len(xs) - 1:
-        _, v = golden_min(lambda t: float(f(t)), xs[lo_idx - 1], xs[lo_idx + 1], _REFINE_TOL)
-        vmin = min(vmin, v)
-    if 0 < hi_idx < len(xs) - 1:
-        _, v = golden_min(lambda t: -float(f(t)), xs[hi_idx - 1], xs[hi_idx + 1], _REFINE_TOL)
-        vmax = max(vmax, -v)
-    return vmin, vmax
-
-
 def band_extrema(profile: ShearProfile, d: float) -> ProfileOnBand:
-    """Certify u0 and u0'' extrema and monotonicity over [-d, d]."""
+    """Certify u0 and u0'' extrema and monotonicity over [-d, d].
+
+    u0 and u0'' peak at the walls or where u0' and u0''' vanish.  u0 is monotone
+    exactly when u0' has no zero on the band; then it has the sign of u0'(0), exact in eval.
+    """
     if not (d > 0 and math.isfinite(d)):
         raise DomainError(f"band half-width must be positive, got d={d}")
-
-    if isinstance(profile, Polynomial) and len(profile.coeffs) <= 3:
-        # u0' is affine: u0 peaks only at the walls or the vertex, and u0'
-        # takes its extremes at the walls.
-        u0, u0p, u0pp = profile.eval(np.array([-d, d]))
-        vals = list(u0)
-        c1, c2 = (profile.coeffs + (0.0, 0.0))[1:3]
-        if c2 != 0.0 and -d < -c1 / (2.0 * c2) < d:
-            vals.append(profile.eval(-c1 / (2.0 * c2))[0])
-        u0_min, u0_max = float(min(vals)), float(max(vals))
-        upp_min = upp_max = float(u0pp[0])
-        slope_min, slope_max = float(min(u0p)), float(max(u0p))
-    else:
-        ys = np.linspace(-d, d, _SCAN_POINTS)
-        u0, u0p, u0pp = profile.eval(ys)
-        u0_min, u0_max = _refined_extrema(lambda t: profile.eval(t)[0], ys, u0)
-        upp_min, upp_max = _refined_extrema(lambda t: profile.eval(t)[2], ys, u0pp)
-        slope_min, slope_max = _refined_extrema(lambda t: profile.eval(t)[1], ys, u0p)
-
-    if slope_min > 0.0:
-        orientation = "increasing"
-    elif slope_max < 0.0:
-        orientation = "decreasing"
-    else:
-        orientation = "none"
-
-    return ProfileOnBand(profile, d, u0_min, u0_max, upp_min, upp_max, orientation)
+    flat, bends = profile.stationary_points(d)
+    u0 = profile.eval(np.array([-d, d, *flat]))[0]
+    u0pp = profile.eval(np.array([-d, d, *bends]))[2]
+    orientation = "none" if flat else ("increasing" if profile.eval(0.0)[1] > 0 else "decreasing")
+    return ProfileOnBand(profile, d, float(u0.min()), float(u0.max()), float(u0pp.min()),
+                         float(u0pp.max()), orientation)
 
 
 def profile_rigidity_bound(profile: ShearProfile, d: float, beta: float):
@@ -252,8 +269,5 @@ def profile_rigidity_bound(profile: ShearProfile, d: float, beta: float):
     A traveling wave whose lap u stays within this radius of u0'' must be a
     shear flow when the radius is positive; returns (threshold, satisfied).
     """
-    if not (d > 0):
-        raise DomainError(f"band half-width must be positive, got d={d}")
-    band = band_extrema(profile, d)
-    threshold = band.u0pp_min - beta
+    threshold = band_extrema(profile, d).u0pp_min - beta
     return threshold, threshold > 0.0

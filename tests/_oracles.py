@@ -7,6 +7,8 @@
   `_level_mask` must give the same mask from column slices.
 * `scaled` and `scaling_check` state the eigenvalue scaling identity
   lambda1(beta, c; a*u0) = lambda1(beta/a, c/a; u0).
+* `degree_two_band` gives the band facts of a polynomial of degree <= 2 in
+  closed form; `band_extrema` must give the same bits.
 * `*_on_mesh` evaluate the closed-form examples on full meshgrid arrays;
   the builders in `qgwave.flows` must give the same bits from the grid's
   1-D axes.
@@ -161,6 +163,9 @@ class _Scaled(ShearProfile):
         u0, u0p, u0pp = self.inner.eval(y)
         return self.a * u0, self.a * u0p, self.a * u0pp
 
+    def stationary_points(self, d):
+        return self.inner.stationary_points(d)
+
     def spec(self):
         return f"scaled:{self.a:g}*({self.inner.spec()})"
 
@@ -174,6 +179,31 @@ def scaled(profile, a):
     if isinstance(profile, Polynomial):
         return Polynomial(a * c for c in profile.coeffs)
     return _Scaled(profile, a)
+
+
+#: u0' dips to -0.40 near y = 2.4e-4, between zeros at 1.13e-4 and 3.67e-4,
+#: all between two of 4097 evenly spaced nodes on [-1, 1]
+CLOSE_ZERO_PAIR = "poly:0,1.039519654178683,-6001.879039308357,8349334.586026206,-2.5012e+07,2e+07"
+
+
+def degree_two_band(profile, d):
+    """(u0_min, u0_max, u0'', orientation) of a polynomial of degree <= 2 on [-d, d].
+
+    u0' is affine: u0 peaks only at the walls or the vertex -c1/(2 c2), and
+    u0' takes its extremes at the walls.
+    """
+    u0, u0p, u0pp = profile.eval(np.array([-d, d]))
+    vals = list(u0)
+    c1, c2 = (profile.coeffs + (0.0, 0.0))[1:3]
+    if c2 != 0.0 and -d < -c1 / (2.0 * c2) < d:
+        vals.append(profile.eval(-c1 / (2.0 * c2))[0])
+    if min(u0p) > 0.0:
+        orientation = "increasing"
+    elif max(u0p) < 0.0:
+        orientation = "decreasing"
+    else:
+        orientation = "none"
+    return float(min(vals)), float(max(vals)), float(u0pp[0]), orientation
 
 
 def scaling_check(band, a, beta, c, tol=DEFAULT_EIGEN_TOL):

@@ -279,6 +279,8 @@ class TestProfileRigidityBound:
         threshold, ok = profile_rigidity_bound(CouettePoiseuille(0.5), 1.0, 0.4)
         assert threshold == pytest.approx(0.6, abs=1e-12)
         assert ok
+        with pytest.raises(DomainError, match=r"^band half-width must be positive, got d=-1.0$"):
+            profile_rigidity_bound(CouettePoiseuille(0.5), -1.0, 0.4)
 
     def test_polar_parabola(self):
         d = math.pi / 72.0

@@ -16,6 +16,8 @@ import pytest
 import qgwave
 from qgwave.cli import main
 
+from _oracles import CLOSE_ZERO_PAIR
+
 SRC = str(Path(qgwave.__file__).resolve().parent.parent)
 
 # the installed `qgwave` script's body
@@ -64,6 +66,7 @@ MATRIX = {
     "classify-json": ("classify", "--field", "f.json", "--json"),
     "verify-text": ("verify", "--field", "f.json"),
     "science-error": ("root-c", *BAND, "--beta", "1", "--L", "10"),
+    "singular-error": ("eigen", "--profile", CLOSE_ZERO_PAIR, "--d", "1", "--beta", "2", "--c", "min"),
     "usage-error": ("eigen", "--nope"),
     "help": ("root-c", "--help"),
 }
@@ -73,6 +76,14 @@ MATRIX = {
 def test_process_matches_in_process(capsys, monkeypatch, field_dir, argv):
     monkeypatch.chdir(field_dir)
     assert run_process(argv, field_dir) == run_in_process(argv, capsys)
+
+
+def test_singular_request_on_a_nonmonotone_band_is_one_json_error(capsys):
+    # u0' of this quintic has two zeros between neighbouring nodes of a 4097-point scan
+    code, out, err = run_in_process(MATRIX["singular-error"], capsys)
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"] == "UnsupportedSingularityError"
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,8 @@
 """Shear-profile evaluation, parsing, and band extrema certification."""
 
 import math
+import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,13 +16,14 @@ from qgwave import (
     LinearProfile,
     Polynomial,
     ProfileSpecError,
+    ShearProfile,
     band_extrema,
     couette,
     parse_profile,
 )
 from qgwave.profiles import BICKLEY_INFLECTION
 
-from _oracles import _Scaled, scaled
+from _oracles import CLOSE_ZERO_PAIR, degree_two_band, scaled
 
 
 class TestEval:
@@ -198,12 +201,77 @@ class TestBandExtrema:
         with pytest.raises(DomainError):
             band_extrema(couette(), 0.0)
 
-    def test_scan_refinement_beats_samples(self):
-        # interior minimum of a quartic falls between scan nodes; golden
-        # refinement must still certify it to high accuracy
+    def test_quartic_interior_minimum(self):
         prof = Polynomial((0.0, 0.0, -1.0, 0.0, 0.5))  # -y^2 + y^4/2, min at y=+-1
         band = band_extrema(prof, 1.3)
         assert band.u0_min == pytest.approx(-0.5, abs=1e-10)
+
+    def test_close_zero_pair_is_not_monotone(self):
+        prof = parse_profile(CLOSE_ZERO_PAIR)
+        flat, _ = prof.stationary_points(1.0)
+        assert [round(y, 7) for y in flat] == [1.134e-4, 3.665e-4]
+        assert band_extrema(prof, 1.0).orientation == "none"
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_planted_zeros_decide_orientation(self, seed):
+        # u0' is a product of planted factors, so each verdict follows from its construction
+        rng = random.Random(seed)
+        k = rng.choice((-1, 1)) * Fraction(rng.randint(4, 15), 8)
+        d = Fraction(rng.randint(8, 31), 16)
+        bump = [1, 0, Fraction(3, 2 ** rng.randint(0, 3))]  # 1 + s y^2 > 0
+        sign, flip = ("increasing", "decreasing") if k > 0 else ("decreasing", "increasing")
+        # two zeros between neighbouring nodes of 4097 on the band, times a positive
+        # factor that is smallest on a node far away, where samples of u0' peak
+        h, i = 2 * d / 4096, rng.randint(200, 1800)
+        r1 = -d + (i + Fraction(rng.uniform(0.2, 0.4))) * h
+        r2 = -d + (i + Fraction(rng.uniform(0.6, 0.8))) * h
+        q, delta = -d + (i + 2048) * h, Fraction(rng.uniform(1e-5, 4e-5)) * d
+        r, eps = Fraction(rng.uniform(-1.0, 1.0)) * d, Fraction(rng.uniform(0.01, 0.1))
+        beyond = d * (1 + Fraction(1, 2**40))
+        cases = [  # (u0', verdict, whether u0's coefficients are exact floats)
+            (_times([k], [-r1, 1], [-r2, 1], [q * q + delta**2, -2 * q, 1]), "none", False),
+            (_times([k], [r * r + eps * eps, -2 * r, 1]), sign, False),  # k((y - r)^2 + eps^2)
+            (_times([k], [-d, 1], bump), "none", True),  # a zero at a wall
+            (_times([k], [d, 1], bump), "none", True),
+            (_times([k], [-beyond, 1], bump), flip, True),  # a zero 2^-40 d beyond a wall
+            (_times([k], [beyond, 1], bump), sign, True),
+        ]
+        for slope, verdict, exact in cases:
+            u0 = [Fraction(0)] + [c / (j + 1) for j, c in enumerate(slope)]
+            prof = Polynomial(float(c) for c in u0)
+            assert not exact or [Fraction(c) for c in prof.coeffs] == u0
+            assert band_extrema(prof, float(d)).orientation == verdict, prof.spec()
+
+    @pytest.mark.parametrize("d, at_walls", [(0.5, True), (1.1, True), (1.2, False), (2.0, False)])
+    def test_bickley_closed_forms(self, d, at_walls):
+        # u0'' = 2(1 - 4T^2 + 3T^4), T = tanh y: max 2 at y = 0, min -2/3 at
+        # T^2 = 2/3 (|y| = 1.146) or at the walls when the band is narrower
+        band = band_extrema(Bickley(), d)
+        s, t = 1.0 / math.cosh(d), math.tanh(d)
+        assert band.orientation == "none"  # u0' = 2 sech^2 tanh vanishes at 0
+        assert band.u0_min == -1.0 and band.u0_max == pytest.approx(-s * s, rel=1e-15)
+        assert band.u0pp_max == 2.0
+        wall = 2.0 * s**4 - 4.0 * s**2 * t**2
+        assert band.u0pp_min == pytest.approx(wall if at_walls else -2.0 / 3.0, abs=1e-15)
+
+    @pytest.mark.parametrize(
+        "d", [1.0, math.pi / 2 - 1e-9, math.pi / 2, math.pi / 2 + 1e-9, math.pi, 4.0]
+    )
+    def test_kolmogorov_monotone_iff_narrower_than_half_pi(self, d):
+        band = band_extrema(Kolmogorov(), d)
+        narrow = d <= math.pi / 2  # the float pi/2 is below pi/2, where cos is still positive
+        assert band.orientation == ("increasing" if narrow else "none")
+        top = math.sin(d) if narrow else 1.0
+        assert (band.u0_min, band.u0_max) == (-top, top)
+        assert (band.u0pp_min, band.u0pp_max) == (-top, top)
+
+    def test_profile_without_exact_rule_is_a_programming_error(self):
+        class Bare(ShearProfile):
+            def eval(self, y):
+                return Kolmogorov().eval(y)
+
+        with pytest.raises(NotImplementedError, match="Bare"):
+            band_extrema(Bare(), 1.0)
 
     @pytest.mark.parametrize(
         "prof,d",
@@ -221,10 +289,17 @@ class TestBandExtrema:
         ids=lambda v: v.spec() if hasattr(v, "spec") else str(v),
     )
     def test_degree_two_exact_matches_scan(self, prof, d):
-        exact = band_extrema(prof, d)
-        scan = band_extrema(_Scaled(prof, 1.0), d)  # not a Polynomial: dense scan
-        assert exact.u0_min == pytest.approx(scan.u0_min, abs=1e-10)
-        assert exact.u0_max == pytest.approx(scan.u0_max, abs=1e-10)
-        curvature = 2.0 * (prof.coeffs + (0.0,))[2]
-        assert exact.u0pp_min == exact.u0pp_max == curvature
-        assert (exact.monotone, exact.orientation) == (scan.monotone, scan.orientation)
+        # the reference is the closed form: walls plus the vertex -c1/(2 c2)
+        band = band_extrema(prof, d)
+        u0_min, u0_max, curvature, orientation = degree_two_band(prof, d)
+        assert (band.u0_min, band.u0_max, band.orientation) == (u0_min, u0_max, orientation)
+        assert band.u0pp_min == band.u0pp_max == curvature == 2.0 * (prof.coeffs + (0.0,))[2]
+
+
+def _times(*factors):
+    """Product of polynomials given as coefficient lists, y^0 first."""
+    out = [Fraction(1)]
+    for f in factors:
+        out = [sum(out[i] * f[j - i] for i in range(len(out)) if 0 <= j - i < len(f))
+               for j in range(len(out) + len(f) - 1)]
+    return out
