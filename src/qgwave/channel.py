@@ -197,8 +197,8 @@ class FieldDiagnostics(NamedTuple):
     residual_inf: float
     residual_rel: float
     boundary_v_inf: float
-    gamma: np.ndarray
-    total_vorticity: np.ndarray
+    total_vorticity_min: float
+    total_vorticity_max: float
 
 
 def _max_abs(a: np.ndarray) -> float:
@@ -207,10 +207,11 @@ def _max_abs(a: np.ndarray) -> float:
 
 
 def diagnostics(field: WaveField) -> FieldDiagnostics:
-    """Divergence, momentum residual, boundary leakage, and vorticity fields.
+    """Divergence, momentum residual, boundary leakage, and total-vorticity range.
 
     Each intermediate is reduced as soon as it exists and its buffer is
-    reused, so at most five new field-sized arrays are alive at once.
+    reused, so at most four new field-sized arrays, the four gradients, are
+    alive at once; the vorticity is reduced to its range before the residual.
     """
     grid = field.grid
     u, v, c, beta = field.u, field.v, field.c, field.beta
@@ -219,9 +220,11 @@ def diagnostics(field: WaveField) -> FieldDiagnostics:
     vx, vy = gradient(v, grid)
     div_inf = _max_abs(np.add(ux, vy, out=ux))
     del ux, vy
-    gamma = np.subtract(vx, uy, out=vx)
-    del uy
-    total_vorticity = gamma + beta * grid.y[:, None]
+    # total vorticity gamma + beta*y, gamma = v_x - u_y, in vx's buffer
+    total_vorticity = np.subtract(vx, uy, out=vx)
+    total_vorticity += beta * grid.y[:, None]
+    vorticity_min, vorticity_max = float(total_vorticity.min()), float(total_vorticity.max())
+    del vx, uy, total_vorticity
 
     # residual = (u - c) * lap(v) + v * (beta - lap(u)), built in place
     residual = u - c
@@ -243,8 +246,8 @@ def diagnostics(field: WaveField) -> FieldDiagnostics:
         residual_inf=residual_inf,
         residual_rel=residual_inf / scale,
         boundary_v_inf=float(max(np.max(np.abs(v[0])), np.max(np.abs(v[-1])))),
-        gamma=gamma,
-        total_vorticity=total_vorticity,
+        total_vorticity_min=vorticity_min,
+        total_vorticity_max=vorticity_max,
     )
 
 

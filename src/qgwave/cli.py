@@ -178,8 +178,8 @@ def _cmd_verify(args):
         "residual_inf": diag.residual_inf,
         "residual_rel": diag.residual_rel,
         "boundary_v_inf": diag.boundary_v_inf,
-        "total_vorticity_min": float(diag.total_vorticity.min()),
-        "total_vorticity_max": float(diag.total_vorticity.max()),
+        "total_vorticity_min": diag.total_vorticity_min,
+        "total_vorticity_max": diag.total_vorticity_max,
         "c": wf.c,
         "beta": wf.beta,
     }

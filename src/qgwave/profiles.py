@@ -40,9 +40,10 @@ class ShearProfile:
 
 def _poly_zeros(coeffs, m, d):
     """The zeros on [-d, d] of p, the m-th derivative of sum(c_k y^k), each
-    rounded to a float; a wall stands for them when p = 0.  A Sturm chain in
-    exact rational arithmetic counts the zeros in (a, b] as V(a) - V(b), V(x)
-    its sign changes at x; bisection on the counts ends at neighbouring floats."""
+    rounded to a float; a wall stands for them when p = 0.  A Sturm chain, built
+    in exact rational arithmetic and evaluated in integers, counts the zeros in
+    (a, b] as V(a) - V(b), V(x) its sign changes at x; bisection on the counts
+    ends at neighbouring floats."""
     if len(coeffs := np.trim_zeros(coeffs, "b")) <= m + 1:  # p is a constant
         return [] if len(coeffs) > m else [-d]
     from fractions import Fraction
@@ -52,11 +53,19 @@ def _poly_zeros(coeffs, m, d):
     chain = [p, P.polyder(p)]
     while len(chain[-1]) > 1 and (rem := P.polydiv(chain[-2], chain[-1])[1]).any():
         chain.append(-rem)
-    # divided by gcd(p, p'), its last member, the chain counts right at a repeated zero too
+    # divided by gcd(p, p'), its last member, the chain counts right at a repeated zero too;
+    # times the lcm of its denominators, a positive factor, each member keeps its signs in integers
     chain = [P.polydiv(c, chain[-1])[0] for c in chain]
+    chain = [[int(f) for f in c * math.lcm(*(g.denominator for g in c))] for c in chain]
 
-    def at(x):  # (whether p(x) = 0, V(x))
-        vals = [P.polyval(Fraction(x), c) for c in chain]
+    def at(x):  # (whether p(x) = 0, V(x)); at x = n/q, q > 0, each value is scaled by q**degree
+        n, q = x.as_integer_ratio()
+        vals = []
+        for c in chain:
+            acc, qk = 0, 1
+            for a in reversed(c):
+                acc, qk = acc * n + a * qk, qk * q
+            vals.append(acc)
         signs = [v > 0 for v in vals if v]
         return vals[0] == 0, sum(s != t for s, t in zip(signs, signs[1:]))
 

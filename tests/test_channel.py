@@ -204,11 +204,10 @@ class TestDiagnostics:
 
     def test_total_vorticity_field(self):
         grid = std_grid(nx=16, ny=11)
-        _, Y = grid.mesh()
         wf = WaveField(grid, np.zeros(grid.shape), np.zeros(grid.shape), c=0.0, beta=2.0)
         diag = diagnostics(wf)
-        assert np.allclose(diag.total_vorticity, 2.0 * Y)
-        assert np.allclose(diag.gamma, 0.0)
+        # u = v = 0, so the total vorticity is beta*y and the walls bound it
+        assert (diag.total_vorticity_min, diag.total_vorticity_max) == (-2.0, 2.0)
 
 
 class TestFieldIO:
@@ -708,6 +707,11 @@ class TestFieldMemory:
     def test_peak_at_most_eight_field_arrays(self, ex31, command):
         wf, _ = ex31
         assert _traced_peak(lambda: command(wf)) <= 8 * wf.u.nbytes
+
+    def test_diagnostics_peak_at_most_four_and_a_half_field_arrays(self, ex31):
+        # the total vorticity is reduced to its range, not returned as a field
+        wf, _ = ex31
+        assert _traced_peak(lambda: diagnostics(wf)) <= 4.5 * wf.u.nbytes
 
     def test_classify_grs_peak_at_most_seven_field_arrays(self):
         # the inflection and critical masks cover most of a GRS field, so the

@@ -16,6 +16,8 @@ import qgwave
 def test_every_public_name_resolves():
     missing = [name for name in qgwave.__all__ if not hasattr(qgwave, name)]
     assert missing == []
+    # the test oracles of tests/_oracles.py are not part of the package
+    assert not {"rigidity_predicates", "scaling_check"} & set(qgwave.__all__)
 
 
 _LOADED_SCIPY = "sorted(m for m in sys.modules if m.startswith('scipy'))"
@@ -41,7 +43,8 @@ def test_plain_import_loads_no_scipy():
 
 
 def test_cli_import_loads_no_scipy():
-    assert _fresh_python(f"import sys, qgwave.cli; print({_LOADED_SCIPY})").strip() == "[]"
+    code = f"import sys, qgwave.cli; print({_LOADED_SCIPY}, 'orjson' in sys.modules)"
+    assert _fresh_python(code).strip() == "[] False"
 
 
 def test_cli_import_loads_no_dataclasses():
@@ -82,10 +85,13 @@ from qgwave.cli import main
 print({_LOADED_SCIPY})
 main(["eigen", "--profile", "couette", "--d", "1", "--beta", "2", "--c", "min", "--json"])
 print({_LOADED_SCIPY})
+print(sorted({{"orjson", "fractions", "numpy.polynomial"}} & set(sys.modules)))
 """
-    before, *doc, after = _fresh_python(code).splitlines()
+    before, *doc, after, unused = _fresh_python(code).splitlines()
     assert before == "[]"
     assert after == "['scipy.linalg._flapack']"
+    # a linear band's u0' is constant: no Sturm chain, and no field file to read or write
+    assert unused == "[]"
     res = json.loads("\n".join(doc))
     assert abs(res["lambda1"] + 0.25) <= res["est_error"]
 

@@ -212,6 +212,19 @@ class TestBandExtrema:
         assert [round(y, 7) for y in flat] == [1.134e-4, 3.665e-4]
         assert band_extrema(prof, 1.0).orientation == "none"
 
+    @pytest.mark.parametrize("n", [8, 12])
+    def test_chebyshev_closed_forms(self, n):
+        # T_n is +-1 where its derivative vanishes, at cos(k pi / n), and its
+        # second derivative peaks at the walls at n^2 (n^2 - 1) / 3
+        prof = Polynomial(np.polynomial.chebyshev.cheb2poly([0] * n + [1]))
+        band = band_extrema(prof, 1.0)
+        assert band.orientation == "none"
+        assert abs(band.u0_min + 1.0) <= 1e-13 and abs(band.u0_max - 1.0) <= 1e-13
+        assert band.u0pp_max == n * n * (n * n - 1) / 3
+        flat, _ = prof.stationary_points(1.0)
+        want = sorted(math.cos(k * math.pi / n) for k in range(1, n))
+        assert np.max(np.abs(np.subtract(flat, want))) <= 1e-15
+
     @pytest.mark.parametrize("seed", range(20))
     def test_planted_zeros_decide_orientation(self, seed):
         # u0' is a product of planted factors, so each verdict follows from its construction
