@@ -305,6 +305,14 @@ def _doubles(value) -> np.ndarray:
     return doubles
 
 
+def _whole(value, key) -> int:
+    """int(value), but a value that int() would truncate is not a count."""
+    n = int(value)
+    if n != value:
+        raise ValueError(f"{key} must be a whole number, got {value!r}")
+    return n
+
+
 def field_from_dict(doc: dict) -> WaveField:
     missing = [k for k in _FIELD_KEYS if k not in doc]
     if missing:
@@ -313,8 +321,8 @@ def field_from_dict(doc: dict) -> WaveField:
     if arrays:
         raise FieldFormatError(f"wave-field scalars must be numbers: {arrays}")
     try:
-        nx = int(doc["nx"])
-        ny = int(doc["ny"])
+        nx = _whole(doc["nx"], "nx")
+        ny = _whole(doc["ny"], "ny")
         geom = ChannelGeometry(float(doc["L"]), float(doc["d_minus"]), float(doc["d_plus"]))
         grid = Grid2D(nx, ny, geom)
         u = _doubles(doc["u"])

@@ -11,9 +11,12 @@ collocation nodes never touch that wall, and the Dirichlet condition keeps
 the discrete quadratic form bounded, so plain second-order differences
 remain usable there.
 
-Discretization: interior nodes y_j = -d + j*h, j = 1..N-1, h = 2d/N, giving
-a symmetric tridiagonal matrix with diagonal 2/h^2 + V(y_j) and off-diagonal
--1/h^2.  Its smallest eigenvalue is extracted by Sturm-sequence bisection
+Discretization: interior nodes y_j = -d + j*h, j = 1..N-1, h = 2d/N.  Every
+rung of every solve is -s phi'' + sv phi = mu phi, phi(+-d) = 0, s > 0, as
+the symmetric tridiagonal S^{1/2} K S^{1/2} + diag(sv): S = diag(s(y_j)), K
+the second difference (diagonal 2/h^2, off-diagonal -1/h^2), and
+phi = S^{1/2} z for its ground vector z.  lambda1 is the rung s = 1, sv = V.
+Its smallest eigenvalue is extracted by Sturm-sequence bisection
 and inverse iteration (LAPACK dstebz + dstein, called directly on scipy's
 LAPACK extension, which is loaded without importing scipy.linalg) and a
 stable Rayleigh quotient; the grid is refined N -> 2N and every rung
@@ -28,11 +31,12 @@ Decreasing profiles are reflected y -> -y first, which leaves every
 eigenvalue unchanged and pins the singular wall at y = -d, so a single code
 path serves both orientations.
 
-The transitional beta comes from the same ladder on a symmetrized pencil:
-at c = u0_min a rung's matrix is A - beta*D with D = diag(1/g) and
-g = u0 - u0_min > 0 at the interior nodes, so the discrete beta_crit is the
-smallest eigenvalue of the tridiagonal D^{-1/2} A D^{-1/2} (Parlett, The
-Symmetric Eigenvalue Problem, SIAM 1998, ch. 15).
+The transitional beta comes from the same rung and ladder on a symmetrized
+pencil: at c = u0_min a rung's lambda1 matrix is A - beta*D with
+D = diag(1/g) and g = u0 - u0_min > 0 at the interior nodes, so the discrete
+beta_crit is the smallest eigenvalue of D^{-1/2} A D^{-1/2}, the rung with
+s = g and sv = u0'' (Parlett, The Symmetric Eigenvalue Problem, SIAM 1998,
+ch. 15).
 """
 
 import functools
@@ -178,23 +182,36 @@ def _ground_vector(diag, off):
     return vecs[:, 0]
 
 
-def _solve_rung(V, d, n):
-    """Smallest eigenvalue (stable Rayleigh quotient) and ground state on N = n intervals."""
+def _nodes(d, n):
+    """Spacing h = 2d/N and the interior nodes y_j = -d + j*h, j = 1..N-1."""
     h = 2.0 * d / n
-    y = -d + h * np.arange(1, n)
-    Vy = np.asarray(V(y), dtype=float)
-    vec = _ground_vector(2.0 / (h * h) + Vy, np.full(n - 2, -1.0 / (h * h)))
-    lam = _rayleigh_quotient(vec, Vy, h)
+    return h, -d + h * np.arange(1, n)
+
+
+def _rung(coeffs, d, n):
+    """Smallest eigenvalue of -s phi'' + sv phi = mu phi, and its phi, on N = n intervals.
+
+    coeffs(y) gives (s, sv) at the interior nodes (module docstring).  The
+    eigenvalue is phi's stable Rayleigh quotient with potential sv/s and
+    weight 1/s; phi is sign-normalized positive and L2-normalized by the
+    trapezoid rule.
+    """
+    h, y = _nodes(d, n)
+    s, sv = coeffs(y)
+    root_s = np.sqrt(s)
+    vec = root_s * _ground_vector(2.0 * s / (h * h) + sv, -(root_s[:-1] * root_s[1:]) / (h * h))
+    lam = _rayleigh_quotient(vec, sv / s, h, 1.0 / s)
     if vec[int(np.argmax(np.abs(vec)))] < 0:
         vec = -vec
     vec = vec / math.sqrt(h * float(np.sum(vec * vec)))
     return lam, vec
 
 
-def _ladder(rung, tol, n_start, n_max):
+def _ladder(rung, tol, n_start):
     """Refine rung(n) -> (eigenvalue, vector) from n_start by N -> 2N until |E(2N) - E(N)| < tol.
 
-    Returns (E, |E(2N) - E(N)|, final N, final vector, (N, eigenvalue) history).
+    Returns (E, |E(2N) - E(N)|, final N, final vector, (N, eigenvalue) history);
+    raises ConvergenceError once N would pass _N_MAX.
     """
     n = n_start
     lam_prev, vec = rung(n)
@@ -202,7 +219,7 @@ def _ladder(rung, tol, n_start, n_max):
     ext_prev = None
     while True:
         n *= 2
-        if n > n_max:
+        if n > _N_MAX:
             msg = f"eigenvalue ladder reached N={n // 2} without |E(2N)-E(N)| < {tol}"
             if len(history) >= 3:
                 (_, a), (_, b), (_, z) = history[-3:]
@@ -227,13 +244,12 @@ def principal_eigenvalue(
     tol: float = DEFAULT_EIGEN_TOL,
     want_vector: bool = True,
     n_start: int = _N_START,
-    n_max: int = _N_MAX,
 ) -> EigenResult:
     """Solve for the principal eigenvalue at (beta, c), refined to tol.
 
     Raises DomainError for c > u0_min, UnsupportedSingularityError for a
     singular request on a non-monotone band, and ConvergenceError (carrying
-    the last two iterates) if the ladder reaches n_max without
+    the last two iterates) if the ladder passes N = _N_MAX without
     |E(2N) - E(N)| < tol; its message gives the final N, the last raw ratio
     of rung differences and the last |E(2N) - E(N)|.
     """
@@ -241,11 +257,11 @@ def principal_eigenvalue(
         raise DomainError(f"tolerance must be positive, got {tol}")
     u = _oriented_profile(band, beta, c)
 
-    def V(y):
+    def coeffs(y):
         u0, _, u0pp = u(y)
-        return -(beta - u0pp) / (u0 - c)
+        return np.ones_like(y), -(beta - u0pp) / (u0 - c)
 
-    ext, diff, n, vec, history = _ladder(lambda n: _solve_rung(V, band.d, n), tol, n_start, n_max)
+    ext, diff, n, vec, history = _ladder(lambda n: _rung(coeffs, band.d, n), tol, n_start)
     return EigenResult(
         lambda1=ext,
         eigvec=vec if want_vector else None,
@@ -265,26 +281,10 @@ def _c_slope(band: ProfileOnBand, res: EigenResult) -> float:
     res.eigvec on its final grid.
     """
     u = _oriented_profile(band, res.beta, res.c)
-    h = 2.0 * band.d / (res.n_used + 1)
-    y = -band.d + h * np.arange(1, res.n_used + 1)
+    h, y = _nodes(band.d, res.n_used + 1)
     u0, _, u0pp = u(y)
     w = res.eigvec**2 / (u0 - res.c)
     return -h * float(np.sum((res.beta - u0pp) * w / (u0 - res.c)))
-
-
-def _pencil_rung(u, u0_min, d, n):
-    """Smallest eigenvalue of the symmetrized pencil, and its phi, on N = n intervals.
-
-    The matrix has diagonal 2 g/h^2 + u0'' and off-diagonal
-    -sqrt(g_i g_{i+1})/h^2; its eigenvector z gives phi = sqrt(g) z, whose
-    stable Rayleigh quotient with potential u0''/g and weight 1/g is returned.
-    """
-    h = 2.0 * d / n
-    u0, _, u0pp = u(-d + h * np.arange(1, n))
-    g = u0 - u0_min
-    root_g = np.sqrt(g)
-    phi = root_g * _ground_vector(2.0 * g / (h * h) + u0pp, -(root_g[:-1] * root_g[1:]) / (h * h))
-    return _rayleigh_quotient(phi, u0pp / g, h, 1.0 / g), phi
 
 
 def critical_beta(band: ProfileOnBand, tol: float = DEFAULT_ROOT_TOL) -> float:
@@ -300,7 +300,12 @@ def critical_beta(band: ProfileOnBand, tol: float = DEFAULT_ROOT_TOL) -> float:
     if not (tol > 0):
         raise DomainError(f"tolerance must be positive, got {tol}")
     u = _oriented_profile(band, 0.0, band.u0_min)
-    beta = _ladder(lambda n: _pencil_rung(u, band.u0_min, band.d, n), tol, _N_START, _N_MAX)[0]
+
+    def coeffs(y):
+        u0, _, u0pp = u(y)
+        return u0 - band.u0_min, u0pp
+
+    beta = _ladder(lambda n: _rung(coeffs, band.d, n), tol, _N_START)[0]
     if beta <= 0.0:
         raise ConvergenceError(
             f"smallest pencil eigenvalue {beta} <= 0, so lambda1(0, u0_min) <= 0; "

@@ -15,6 +15,9 @@
 * `critical_beta_reference` collocates the transitional-beta problem on
   Chebyshev nodes with numpy alone; `critical_beta` must agree within its
   tolerance on every monotone band where the reference converges.
+* `lambda1_reference` collocates lambda1(beta, c) the same way;
+  `principal_eigenvalue` must agree within its est_error wherever the
+  reference converges.
 """
 
 import math
@@ -182,7 +185,7 @@ def scaled(profile, a):
 
 
 #: u0' dips to -0.40 near y = 2.4e-4, between zeros at 1.13e-4 and 3.67e-4,
-#: all between two of 4097 evenly spaced nodes on [-1, 1]
+#: two zeros 2.5e-4 apart on [-1, 1]
 CLOSE_ZERO_PAIR = "poly:0,1.039519654178683,-6001.879039308357,8349334.586026206,-2.5012e+07,2e+07"
 
 
@@ -290,15 +293,32 @@ def _cheb(n):
     return x, D
 
 
-def _collocated_beta_crit(band, n):
+def _collocated(band, n, coeffs):
+    """Smallest real eigenvalue of -s phi'' + sv phi = mu phi, phi(+-d) = 0, on n intervals.
+
+    coeffs(u0, u0'') gives (s, sv) at the interior Gauss-Lobatto nodes.
+    """
     x, D = _cheb(n)
     y = band.d * x[1:-1]
     u0, _, u0pp = band.profile.eval(y)
+    s, sv = coeffs(u0, u0pp)
     D2 = (D @ D)[1:-1, 1:-1] / (band.d * band.d)
-    # -g phi'' + u0'' phi = beta phi with g = u0 - u0_min, phi(+-d) = 0
-    ev = np.linalg.eigvals(-(u0 - band.u0_min)[:, None] * D2 + np.diag(u0pp))
+    ev = np.linalg.eigvals(-s[:, None] * D2 + np.diag(sv))
     real = ev.real[np.abs(ev.imag) <= 1e-9 * np.abs(ev)]
     return float(np.min(real))
+
+
+def _converged(band, n, coeffs, floor):
+    """The value on 2n intervals, refused if it differs from n intervals' by more
+    than 1e-10 * max(floor, |value|)."""
+    coarse = _collocated(band, n, coeffs)
+    fine = _collocated(band, 2 * n, coeffs)
+    if not abs(fine - coarse) <= 1e-10 * max(floor, abs(fine)):
+        raise ValueError(
+            f"Chebyshev reference not converged: {coarse!r} on {n} intervals, "
+            f"{fine!r} on {2 * n}"
+        )
+    return fine
 
 
 def critical_beta_reference(band, n=48):
@@ -313,11 +333,16 @@ def critical_beta_reference(band, n=48):
     """
     if not band.monotone:
         raise DomainError("critical_beta_reference needs a monotone profile on the band")
-    coarse = _collocated_beta_crit(band, n)
-    fine = _collocated_beta_crit(band, 2 * n)
-    if not abs(fine - coarse) <= 1e-10 * abs(fine):
-        raise ValueError(
-            f"Chebyshev reference not converged: {coarse!r} on {n} intervals, "
-            f"{fine!r} on {2 * n}"
-        )
-    return fine
+    return _converged(band, n, lambda u0, u0pp: (u0 - band.u0_min, u0pp), 0.0)
+
+
+def lambda1_reference(band, beta, c, n=48):
+    """lambda1(beta, c) by Chebyshev collocation of -phi'' + V phi = lambda phi, numpy only.
+
+    V = -(beta - u0'')/(u0 - c) on the interior Gauss-Lobatto nodes, which
+    never touch a singular wall at c = u0_min; the equation is invariant
+    under y -> -y, so either orientation collocates as is.  Returns the
+    smallest real eigenvalue on 2n intervals, and refuses a case where n and
+    2n intervals differ by more than 1e-10 * max(1, |lambda|).
+    """
+    return _converged(band, n, lambda u0, u0pp: (np.ones_like(u0), -(beta - u0pp) / (u0 - c)), 1.0)

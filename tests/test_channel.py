@@ -482,6 +482,8 @@ def _malformed():
         "unquoted-key": plain.replace('"c"', "c", 1),
         "empty": "",
         "string-nx": json.dumps(dict(doc, nx="8")),
+        "fractional-nx": json.dumps(dict(doc, nx=8.9)),
+        "fractional-ny": json.dumps(dict(doc, ny=9.5)),
         "string-c": json.dumps(dict(doc, c="0.5")),
         "numeric-string-row": json.dumps(dict(doc, u=[doc["u"][0]] + [[" 1.5 "] * 8] * 8)),
         "array-nx": json.dumps(dict(doc, nx=[8])),

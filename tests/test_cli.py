@@ -100,7 +100,7 @@ class TestCriticalBeta:
         assert code == 1
         # the vertex y = 0.25 lies inside the band; the monotone guard runs
         # ahead of the pencil, which would return a number here.  The quintic's
-        # u0' has two zeros between neighbouring nodes of a 4097-point scan.
+        # u0' has two zeros 2.5e-4 apart, so it is not monotone either.
         for profile in "parabola:0.5,0", CLOSE_ZERO_PAIR:
             code, _, err = run_cli(capsys, "critical-beta", "--profile", profile, "--d", "1")
             assert code == 1

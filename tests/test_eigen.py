@@ -38,7 +38,7 @@ from qgwave import (
 )
 from qgwave.profiles import Kolmogorov
 
-from _oracles import critical_beta_reference, scaling_check
+from _oracles import critical_beta_reference, lambda1_reference, scaling_check
 
 BESSEL_BETA_CRIT = float(jn_zeros(1, 1)[0]) ** 2 / 8.0  # 1.8352463302654868
 
@@ -67,6 +67,37 @@ def _seeded_monotone_bands(seed=20261020):
 
 
 SEEDED_BANDS = _seeded_monotone_bands()
+
+
+def _seeded_lambda1_cases(seed=20261021, count=300):
+    """(band, beta, c, tol) on monotone linear, parabola and cubic bands, d in [0.5, 2].
+
+    c is u0_min, the singular wall, for about half the cases, and otherwise
+    u0_min - [0.01, 2] * (u0_max - u0_min); beta spans [-2, 10] * (u0_max -
+    u0_min) / d^2 and tol 1e-9 ... 1e-5 / d^2, log-uniform.
+    """
+    rng = random.Random(seed)
+    cases = []
+    for i in range(count):
+        d = rng.uniform(0.5, 2.0)
+        sign = rng.choice((1.0, -1.0))
+        if i % 3 == 0:
+            profile = LinearProfile(sign * rng.uniform(0.2, 3.0), rng.uniform(-1.0, 1.0))
+        elif i % 3 == 1:
+            # u0' = b - 2y keeps one sign on [-d, d] for |b| > 2d
+            b = sign * 2.0 * d * rng.uniform(1.1, 3.0)
+            profile = ConcaveParabola(b, rng.uniform(-1.0, 1.0))
+        else:
+            # u0' = sign + 2 s y + 3 t y^2 keeps its sign for 2|s| d + 3|t| d^2 < 1
+            s, t = rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)
+            shrink = rng.uniform(0.0, 1.0) / (2.0 * abs(s) * d + 3.0 * abs(t) * d * d)
+            profile = Polynomial((0.0, sign, shrink * s, shrink * t))
+        band = band_extrema(profile, d)
+        span = band.u0_max - band.u0_min
+        beta = rng.uniform(-2.0, 10.0) * span / (d * d)
+        c = band.u0_min if rng.random() < 0.5 else band.u0_min - rng.uniform(0.01, 2.0) * span
+        cases.append((band, beta, c, 10.0 ** rng.uniform(-9.0, -5.0) / (d * d)))
+    return cases
 
 
 @pytest.fixture(scope="module")
@@ -136,17 +167,19 @@ class TestPrincipalEigenvalue:
         res = principal_eigenvalue(band, 1.0, -2.0)
         assert math.isfinite(res.lambda1)
 
-    def test_ladder_exhaustion_raises_with_iterates(self, couette_band):
+    def test_ladder_exhaustion_raises_with_iterates(self, couette_band, monkeypatch):
+        monkeypatch.setattr(qgwave.eigen, "_N_MAX", 1024)
         with pytest.raises(ConvergenceError) as err:
-            principal_eigenvalue(couette_band, 1.0, -1.0, tol=1e-16, n_max=1024)
+            principal_eigenvalue(couette_band, 1.0, -1.0, tol=1e-16)
         assert len(err.value.last_iterates) == 2
 
-    def test_ladder_failure_message_states_ratio(self, couette_band):
-        # the ladder stops at n_max = 2^14; its last three rungs, re-solved
+    def test_ladder_failure_message_states_ratio(self, couette_band, monkeypatch):
+        # the ladder stops at _N_MAX = 2^14; its last three rungs, re-solved
         # on their own, give the raw ratio and the last extrapolate difference
         beta, c = 30.0, couette_band.u0_min - 1e-6
+        monkeypatch.setattr(qgwave.eigen, "_N_MAX", 2**14)
         with pytest.raises(ConvergenceError) as err:
-            principal_eigenvalue(couette_band, beta, c, tol=1e-8, n_max=2**14)
+            principal_eigenvalue(couette_band, beta, c, tol=1e-8)
         rungs = principal_eigenvalue(couette_band, beta, c, tol=math.inf, n_start=2**12)
         (_, a), (_, b), (_, z) = rungs.history
         msg = str(err.value)
@@ -195,60 +228,110 @@ class TestPrincipalEigenvalue:
             assert num / den >= res.lambda1 - 10 * tol
 
 
-def _eigh_tridiagonal_rung(V, d, n):
+def _eigh_tridiagonal_rung(coeffs, d, n):
     """A rung as scipy.linalg.eigh_tridiagonal(select="i") solves it."""
     from scipy.linalg import eigh_tridiagonal
 
     h = 2.0 * d / n
-    Vy = np.asarray(V(-d + h * np.arange(1, n)), dtype=float)
+    s, sv = coeffs(-d + h * np.arange(1, n))
+    root_s = np.sqrt(s)
     _, vecs = eigh_tridiagonal(
-        2.0 / (h * h) + Vy, np.full(n - 2, -1.0 / (h * h)), select="i", select_range=(0, 0)
+        2.0 * s / (h * h) + sv,
+        -(root_s[:-1] * root_s[1:]) / (h * h),
+        select="i",
+        select_range=(0, 0),
     )
-    vec = vecs[:, 0]
-    lam = qgwave.eigen._rayleigh_quotient(vec, Vy, h)
+    vec = root_s * vecs[:, 0]
+    lam = qgwave.eigen._rayleigh_quotient(vec, sv / s, h, 1.0 / s)
     if vec[int(np.argmax(np.abs(vec)))] < 0:
         vec = -vec
     return lam, vec / math.sqrt(h * float(np.sum(vec * vec)))
 
 
-def _potential(band, beta, c):
+def _lambda1_coeffs(band, beta, c):
+    """The lambda1 rung's coefficients (1, V)."""
     u = qgwave.eigen._oriented_profile(band, beta, c)
 
-    def V(y):
+    def coeffs(y):
         u0, _, u0pp = u(y)
-        return -(beta - u0pp) / (u0 - c)
+        return np.ones_like(y), -(beta - u0pp) / (u0 - c)
 
-    return V
+    return coeffs
+
+
+def _pencil_coeffs(band):
+    """The beta_crit rung's coefficients (u0 - u0_min, u0'')."""
+    u = qgwave.eigen._oriented_profile(band, 0.0, band.u0_min)
+
+    def coeffs(y):
+        u0, _, u0pp = u(y)
+        return u0 - band.u0_min, u0pp
+
+    return coeffs
+
+
+class TestLambda1Reference:
+    """principal_eigenvalue against Chebyshev collocation (tests/_oracles.py)."""
+
+    def test_reference_meets_closed_forms(self, couette_band):
+        assert lambda1_reference(couette_band, 2.0, couette_band.u0_min) == pytest.approx(
+            -0.25, abs=1e-11)
+        assert lambda1_reference(couette_band, 0.0, -2.0) == pytest.approx(
+            math.pi**2 / 4.0, abs=1e-11)
+        assert lambda1_reference(couette_band, BESSEL_BETA_CRIT, couette_band.u0_min) == (
+            pytest.approx(0.0, abs=1e-11))
+
+    def test_error_within_est_error_on_seeded_bands(self):
+        checked, failures = 0, []
+        for band, beta, c, tol in _seeded_lambda1_cases():
+            assert band.monotone
+            try:
+                ref = lambda1_reference(band, beta, c)
+            except ValueError:  # the reference itself has not converged
+                continue
+            res = principal_eigenvalue(band, beta, c, tol=tol, want_vector=False)
+            if abs(res.lambda1 - ref) > res.est_error + 1e-11 * (1.0 + abs(ref)):
+                failures.append((band.profile.spec(), band.d, beta, c, tol, res.lambda1, ref))
+            checked += 1
+        assert failures == []
+        assert checked >= 290
 
 
 class TestLapackKernel:
     """The direct dstebz + dstein rung against scipy's eigh_tridiagonal."""
 
     @pytest.mark.parametrize("n", [2, 3, 256, 4096])
-    @pytest.mark.parametrize("case", ["couette_singular", "kolmogorov_regular"])
+    @pytest.mark.parametrize(
+        "case", ["couette_singular", "kolmogorov_regular", "couette_pencil", "parabola_pencil"]
+    )
     def test_rung_bit_equal_to_eigh_tridiagonal(self, couette_band, case, n):
         if case == "couette_singular":
-            band, beta, c = couette_band, 5.0, couette_band.u0_min
+            band, coeffs = couette_band, _lambda1_coeffs(couette_band, 5.0, couette_band.u0_min)
+        elif case == "kolmogorov_regular":
+            band = band_extrema(Kolmogorov(), 1.2)
+            coeffs = _lambda1_coeffs(band, 0.3, -1.5)
+        elif case == "couette_pencil":
+            band, coeffs = couette_band, _pencil_coeffs(couette_band)
         else:
-            band, beta, c = band_extrema(Kolmogorov(), 1.2), 0.3, -1.5
-        V = _potential(band, beta, c)
-        lam, vec = qgwave.eigen._solve_rung(V, band.d, n)
-        lam_ref, vec_ref = _eigh_tridiagonal_rung(V, band.d, n)
+            band = band_extrema(ConcaveParabola(9.0), 3.0)
+            coeffs = _pencil_coeffs(band)
+        lam, vec = qgwave.eigen._rung(coeffs, band.d, n)
+        lam_ref, vec_ref = _eigh_tridiagonal_rung(coeffs, band.d, n)
         assert lam == lam_ref
         assert vec.tobytes() == vec_ref.tobytes()
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     @pytest.mark.parametrize("n", [2, 256])
     def test_nonfinite_potential_raises_as_scipy_did(self, bad, n):
-        def V(y):
+        def coeffs(y):
             out = np.zeros_like(y)
             out[-1] = bad
-            return out
+            return np.ones_like(y), out
 
         with pytest.raises(ValueError, match="^array must not contain infs or NaNs$"):
-            _eigh_tridiagonal_rung(V, 1.0, n)
+            _eigh_tridiagonal_rung(coeffs, 1.0, n)
         with pytest.raises(ValueError, match="^array must not contain infs or NaNs$"):
-            qgwave.eigen._solve_rung(V, 1.0, n)
+            qgwave.eigen._rung(coeffs, 1.0, n)
 
     @pytest.mark.parametrize("failure", ["no_extension_file", "load_error"])
     def test_falls_back_to_scipy_linalg_lapack(self, couette_band, monkeypatch, failure):
@@ -395,7 +478,7 @@ class TestCriticalBeta:
         # beta_crit is the smallest eigenvalue of one symmetrized pencil per
         # rung: no principal_eigenvalue solve, and one short ladder
         calls, rungs = [], []
-        solve, rung = qgwave.eigen.principal_eigenvalue, qgwave.eigen._pencil_rung
+        solve, rung = qgwave.eigen.principal_eigenvalue, qgwave.eigen._rung
 
         def counted(*args, **kwargs):
             calls.append(args)
@@ -406,7 +489,7 @@ class TestCriticalBeta:
             return rung(*args)
 
         monkeypatch.setattr(qgwave.eigen, "principal_eigenvalue", counted)
-        monkeypatch.setattr(qgwave.eigen, "_pencil_rung", counted_rung)
+        monkeypatch.setattr(qgwave.eigen, "_rung", counted_rung)
         bc = critical_beta(couette_band, tol=tol)
         assert abs(bc - BESSEL_BETA_CRIT) <= tol
         assert calls == []
@@ -416,13 +499,13 @@ class TestCriticalBeta:
     def test_nonpositive_pencil_eigenvalue_raises(self, couette_band, monkeypatch):
         # by Sylvester's law of inertia the pencil's smallest eigenvalue is
         # <= 0 exactly when lambda1(0, u0_min) <= 0
-        rung = qgwave.eigen._pencil_rung
+        rung = qgwave.eigen._rung
 
         def shifted(*args):
             lam, phi = rung(*args)
             return lam - 10.0, phi
 
-        monkeypatch.setattr(qgwave.eigen, "_pencil_rung", shifted)
+        monkeypatch.setattr(qgwave.eigen, "_rung", shifted)
         with pytest.raises(ConvergenceError, match="lambda1\\(0, u0_min\\) <= 0"):
             critical_beta(couette_band, tol=1e-6)
 

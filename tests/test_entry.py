@@ -79,7 +79,7 @@ def test_process_matches_in_process(capsys, monkeypatch, field_dir, argv):
 
 
 def test_singular_request_on_a_nonmonotone_band_is_one_json_error(capsys):
-    # u0' of this quintic has two zeros between neighbouring nodes of a 4097-point scan
+    # u0' of this quintic has two zeros 2.5e-4 apart, so the band is not monotone
     code, out, err = run_in_process(MATRIX["singular-error"], capsys)
     assert (code, out) == (1, "")
     assert err.count("\n") == 1
