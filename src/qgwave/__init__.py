@@ -28,7 +28,7 @@ _EXPORTS = {
     "classify": "ClassificationReport RigidityVerdict c_beta_plus classify",
     "eigen": "CurvePoint EigenResult boundary_curve critical_beta lambda_inf_over_c "
     "principal_eigenvalue wave_speed_root",
-    "errors": "ConvergenceError DivergenceError DomainError FieldFormatError NoRootError "
+    "errors": "ConvergenceError DomainError FieldFormatError NoRootError "
     "ProfileSpecError QgwaveError ShapeError UnsupportedSingularityError",
     "flows": "KOLMOGOROV_PERIOD MIN_CRITICAL_BETA0 Example31Params GrsParams make_grs_vortex "
     "make_inflection_wave make_kolmogorov_perturbed make_min_critical_wave",

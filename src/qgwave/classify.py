@@ -220,39 +220,39 @@ def _tolerances(field: WaveField, eps_scale: float):
     return h_max, grad_mag, lap_u, eps_c, eps_g, eps_q, evidence
 
 
-def _verdict(beta, c, cbp, u_min, lap_min, lap_max, grad_min, eps_c, eps_g, eps_q):
+def _verdict(beta, c, cbp, u_min, lap_min, lap_max, grad_min, margin_c, margin_g, margin_q):
     """The rigidity theorems, hypothesis by hypothesis, from classify's evidence."""
     beta_outside_ran = HypothesisCheck(
         "beta outside Ran(lap u) with margin",
-        beta < lap_min - eps_q or beta > lap_max + eps_q,
-        {"beta": beta, "lap_u_min": lap_min, "lap_u_max": lap_max, "margin": eps_q},
+        beta < lap_min - margin_q or beta > lap_max + margin_q,
+        {"beta": beta, "lap_u_min": lap_min, "lap_u_max": lap_max, "margin": margin_q},
     )
     beta_positive = HypothesisCheck("beta > 0", beta > 0.0, {"beta": beta})
     beta_zero = HypothesisCheck("beta = 0", beta == 0.0, {"beta": beta})
     speed_gap = HypothesisCheck(
         "c outside [c_beta_plus, u_min] with margin",
-        c < cbp - eps_c or c > u_min + eps_c,
-        {"c": c, "c_beta_plus": cbp, "u_min": u_min, "margin": eps_c},
+        c < cbp - margin_c or c > u_min + margin_c,
+        {"c": c, "c_beta_plus": cbp, "u_min": u_min, "margin": margin_c},
     )
     grad_nonzero = HypothesisCheck(
         "grad u nonzero everywhere with margin",
-        grad_min > eps_g,
-        {"grad_u_min": grad_min, "margin": eps_g},
+        grad_min > margin_g,
+        {"grad_u_min": grad_min, "margin": margin_g},
     )
     lap_positive = HypothesisCheck(
         "min lap u > 0 with margin",
-        lap_min > eps_q,
-        {"lap_u_min": lap_min, "margin": eps_q},
+        lap_min > margin_q,
+        {"lap_u_min": lap_min, "margin": margin_q},
     )
     beta_window = HypothesisCheck(
         "0 < beta < min lap u",
-        0.0 < beta < lap_min - eps_q,
-        {"beta": beta, "lap_u_min": lap_min, "margin": eps_q},
+        0.0 < beta < lap_min - margin_q,
+        {"beta": beta, "lap_u_min": lap_min, "margin": margin_q},
     )
     lap_nonzero = HypothesisCheck(
         "lap u nonzero everywhere with margin",
-        lap_min > eps_q or lap_max < -eps_q,
-        {"lap_u_min": lap_min, "lap_u_max": lap_max, "margin": eps_q},
+        lap_min > margin_q or lap_max < -margin_q,
+        {"lap_u_min": lap_min, "lap_u_max": lap_max, "margin": margin_q},
     )
 
     def check(name, hyps):

@@ -35,7 +35,6 @@ from .eigen import (
 )
 from .errors import (
     ConvergenceError,
-    DivergenceError,
     DomainError,
     FieldFormatError,
     NoRootError,
@@ -60,7 +59,7 @@ class _CannotWrite(Exception):
 
 
 _USAGE_ERRORS = (ProfileSpecError, FieldFormatError, _CannotWrite)
-_SCIENCE_ERRORS = (DomainError, ConvergenceError, DivergenceError, NoRootError)
+_SCIENCE_ERRORS = (DomainError, ConvergenceError, NoRootError)
 
 
 def _fmt(x: float) -> str:

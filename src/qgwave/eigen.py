@@ -50,13 +50,11 @@ import numpy as np
 
 from .errors import (
     ConvergenceError,
-    DivergenceError,
     DomainError,
     NoRootError,
     QgwaveError,
     UnsupportedSingularityError,
 )
-from .golden import golden_min
 from .profiles import ProfileOnBand
 
 DEFAULT_EIGEN_TOL = 1e-6
@@ -314,55 +312,71 @@ def critical_beta(band: ProfileOnBand, tol: float = DEFAULT_ROOT_TOL) -> float:
     return beta
 
 
+def _weyl_depth(band: ProfileOnBand, beta: float, level: float) -> float:
+    """Depth t = u0_min - c at and past which lambda1(beta, u0_min - t) >= level.
+
+    u0 - c >= t on the band, so the potential -(beta - u0'')/(u0 - c) is at
+    least -M/t with M = max(beta - min u0'', 0), and by Weyl's inequality
+    (Horn & Johnson, Matrix Analysis, Thm 4.3.1) lambda1 >= pi^2/(4 d^2) - M/t.
+    Returns M / (pi^2/(4 d^2) - level), or inf when level >= pi^2/(4 d^2).
+    """
+    gap = math.pi**2 / (4.0 * band.d * band.d) - level
+    return max(beta - band.u0pp_min, 0.0) / gap if gap > 0.0 else math.inf
+
+
 def lambda_inf_over_c(band: ProfileOnBand, beta: float, tol: float = DEFAULT_EIGEN_TOL):
     """Minimize lambda1(beta, .) over wave speeds c in (-inf, u0_min].
 
     When beta >= max u0'' on the band, every diagonal entry
     -(beta - u0'')/(u0 - c) of each rung's matrix is non-increasing in c, so
     by Weyl's monotonicity each rung's lambda1 is too, and the infimum is
-    lambda1(beta, u0_min) after one solve.  Otherwise the search is
-    parameterized as c = u0_min - t with t on {0} union a geometric grid;
-    sampling stops once lambda1 is within tol of the c -> -inf limit
-    pi^2/(4 d^2), after which a golden-section pass refines around the best
-    sample.  Returns the solve (at tol/4) at the minimizer: lambda1 is the
-    infimum and c one minimizer, with no uniqueness claim.
+    lambda1(beta, u0_min) after one solve.  Otherwise c = u0_min - t walks
+    t = 0, 1e-4, 2e-4, 4e-4, ... and stops at the first t at or past
+    _weyl_depth(best - tol), past which no value beats the best sample by
+    more than tol; a walk still short of it after 80 samples past t = 0
+    raises ConvergenceError.  The slope d(lambda1)/dt = -_c_slope of the
+    best sample picks the neighbour on the walk that brackets the minimum.
+    The slope's sign at the midpoint halves the bracket until |slope| times
+    the width of the bracket it halved is <= tol.  Every solve is at tol/4,
+    and the lowest one is returned: lambda1 is the infimum and c one
+    minimizer, with no uniqueness claim.
     """
     if not band.monotone:
         raise DomainError("lambda_inf_over_c needs a monotone profile on the band")
     if not (tol > 0):
         raise DomainError(f"tolerance must be positive, got {tol}")
 
-    inner = tol / 4.0
-    limit = math.pi**2 / (4.0 * band.d * band.d)
-    solved = {}
+    def solve(t):
+        return principal_eigenvalue(band, beta, band.u0_min - t, tol=tol / 4.0)
 
-    def lam_at_t(t):
-        solved[t] = principal_eigenvalue(band, beta, band.u0_min - t, tol=inner, want_vector=False)
-        return solved[t].lambda1
-
-    ts = [0.0]
-    vals = [lam_at_t(0.0)]
+    best = solve(0.0)
     if beta >= band.u0pp_max:
-        return solved[0.0]
-    t = 1e-4
-    for _ in range(80):
-        val = lam_at_t(t)
-        ts.append(t)
-        vals.append(val)
-        if abs(val - limit) < tol:
-            break
-        t *= 2.0
+        return best
+    ts, i = [0.0, 1e-4], 0  # ts[-1] is the next walk point, ts[i] the best so far
+    while ts[-1] < _weyl_depth(band, beta, best.lambda1 - tol):
+        if len(ts) > 81:
+            raise ConvergenceError(
+                f"inf-c walk reached t = u0_min - c = {ts[-1]:.6g} after 80 points, "
+                "short of the Weyl depth"
+            )
+        res = solve(ts[-1])
+        if res.lambda1 < best.lambda1:
+            best, i = res, len(ts) - 1
+        ts.append(2.0 * ts[-1])
 
-    best = int(np.argmin(vals))
-    t_lo = ts[best - 1] if best > 0 else ts[0]
-    t_hi = ts[best + 1] if best + 1 < len(ts) else ts[-1]
-    best_t, best_val = ts[best], vals[best]
-    if t_hi > t_lo:
-        xtol = max(1e-6 * (1.0 + best_t), 1e-3 * (t_hi - t_lo))
-        g_t, g_val = golden_min(lam_at_t, t_lo, t_hi, xtol)
-        if g_val < best_val:
-            best_t = g_t
-    return solved[best_t]
+    slope = -_c_slope(band, best)  # d(lambda1)/dt
+    j = i + 1 if slope < 0.0 else i - 1
+    if j >= 0:
+        lo, hi = sorted((ts[i], ts[j]))
+        width = hi - lo
+        while abs(slope) * width > tol:
+            width, mid = hi - lo, 0.5 * (lo + hi)
+            res = solve(mid)
+            slope = -_c_slope(band, res)
+            lo, hi = (lo, mid) if slope > 0.0 else (mid, hi)
+            if res.lambda1 < best.lambda1:
+                best = res
+    return best
 
 
 def wave_speed_root(band: ProfileOnBand, beta: float, L: float, tol: float = DEFAULT_ROOT_TOL):
@@ -372,11 +386,12 @@ def wave_speed_root(band: ProfileOnBand, beta: float, L: float, tol: float = DEF
     guaranteed and NoRootError reports both values; if the two agree within
     tol, the solve at u0_min is returned.  Otherwise one safeguarded Newton
     loop (rtsafe, Numerical Recipes 9.4) on f = lambda1 - target with the
-    slope d(lambda1)/d(c) from _c_slope starts at u0_min.  An iterate
-    with f < 0 moves the near end, one with f > 0 sets the far end, and a
-    step out of the known interval becomes a bisection once a far end
-    exists, else a point 4x farther from u0_min (1 below it at first).  Each
-    solve is at tol/4; the one with |f| <= 0.75 tol is returned.
+    slope d(lambda1)/d(c) from _c_slope starts at u0_min.  The root lies
+    between u0_min and the depth t = u0_min - c = _weyl_depth(target), where
+    lambda1 >= target, so that depth is the first far end.  An iterate with
+    f < 0 moves the near end, one with f > 0 sets the far end, and a step
+    out of the known interval becomes a bisection.  Each solve is at tol/4;
+    the one with |f| <= 0.75 tol is returned.
     """
     if not band.monotone:
         raise DomainError("wave_speed_root needs a monotone profile on the band")
@@ -398,16 +413,14 @@ def wave_speed_root(band: ProfileOnBand, beta: float, L: float, tol: float = DEF
             target=target,
         )
 
-    # t = u0_min - c; f(t_near) < 0 < f(t_far), with t_far = inf until found
+    # t = u0_min - c; f(t_near) < 0 <= f(t_far)
     t = t_near = 0.0
-    t_far = math.inf
+    t_far = _weyl_depth(band, beta, target)
     for _ in range(200):
         df_dt = -_c_slope(band, res)
         t = t - f / df_dt if df_dt > 0.0 else t_near  # wrong-sign slope: safeguard
         if not (t_near < t < t_far):
-            t = 0.5 * (t_near + t_far) if t_far < math.inf else max(4.0 * t_near, 1.0)
-        if t > 1e12:
-            raise DivergenceError("wave-speed search passed t = u0_min - c = 1e12")
+            t = 0.5 * (t_near + t_far)
         res = principal_eigenvalue(band, beta, band.u0_min - t, tol=tol / 4.0)
         f = res.lambda1 - target
         if abs(f) <= 0.75 * tol:

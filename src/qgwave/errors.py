@@ -38,10 +38,6 @@ class ConvergenceError(QgwaveError, RuntimeError):
         self.last_iterates = tuple(last_iterates) if last_iterates else ()
 
 
-class DivergenceError(QgwaveError, RuntimeError):
-    """The wave-speed search ran past its safety bound t = u0_min - c = 1e12."""
-
-
 class NoRootError(QgwaveError, RuntimeError):
     """No wave-speed root is guaranteed: the endpoint eigenvalue does not
     reach the requested target."""

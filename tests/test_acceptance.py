@@ -15,6 +15,7 @@ from qgwave import (
     ChannelGeometry,
     ConcaveParabola,
     Grid2D,
+    Kolmogorov,
     LinearProfile,
     band_extrema,
     classify,
@@ -302,6 +303,8 @@ def test_criterion_11_infimum_matches_dense_scan():
         (band_extrema(couette(), 1.0), 1.0),
         (band_extrema(couette(), 1.0), 5.0),
         (band_extrema(ConcaveParabola(7.0), 1.0), 5.0),
+        # beta < max u0'': the walk to the Weyl depth and the slope halving
+        (band_extrema(Kolmogorov(), 1.2), 0.3),
     ]
     worst = 0.0
     for band, beta in cases:

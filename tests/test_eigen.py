@@ -22,7 +22,6 @@ import qgwave.eigen
 from qgwave import (
     ConcaveParabola,
     ConvergenceError,
-    DivergenceError,
     DomainError,
     LinearProfile,
     NoRootError,
@@ -571,6 +570,79 @@ class TestInfOverC:
         assert (res.lambda1, res.c) == (end.lambda1, band.u0_min)
         assert calls == [band.u0_min]
 
+    def test_minimum_at_u0_min_below_max_curvature(self, monkeypatch):
+        # beta = 1 < max u0'' = 4.4, yet lambda1 rises from c = u0_min on: the walk
+        # ends at the Weyl depth, and the slope at u0_min brackets nothing
+        band = band_extrema(Polynomial((0.0, 1.0, 1.0, 0.4)), 1.0)
+        assert band.u0pp_max > 1.0
+        calls = []
+        real = qgwave.eigen.principal_eigenvalue
+
+        def counted(*args, **kwargs):
+            calls.append(args[2])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(qgwave.eigen, "principal_eigenvalue", counted)
+        res = lambda_inf_over_c(band, 1.0, tol=1e-6)
+        assert res.c == band.u0_min
+        assert len(calls) <= 15
+
+    def test_dirichlet_limit_when_curvature_exceeds_beta(self):
+        # u0'' = 1 > beta = 0.5 makes the potential positive, so lambda1 falls
+        # towards its c -> -inf limit pi^2/(4 d^2) and never reaches it
+        band = band_extrema(Polynomial((0.0, 1.0, 0.5)), 0.9)
+        tol = 1e-6
+        res = lambda_inf_over_c(band, 0.5, tol=tol)
+        assert abs(res.lambda1 - math.pi**2 / (4.0 * 0.81)) <= tol
+
+    def test_walk_short_of_weyl_depth_raises(self, monkeypatch):
+        # values that stay above pi^2/(4 d^2) + tol leave the Weyl depth infinite
+        band = band_extrema(Kolmogorov(), 1.2)
+        end = principal_eigenvalue(band, 0.3, band.u0_min)
+        calls = []
+
+        def above_limit(band, beta, c, **kwargs):
+            calls.append(c)
+            return end._replace(lambda1=10.0, c=c)
+
+        monkeypatch.setattr(qgwave.eigen, "principal_eigenvalue", above_limit)
+        with pytest.raises(ConvergenceError, match="after 80 points"):
+            lambda_inf_over_c(band, 0.3)
+        assert len(calls) == 81
+
+    @pytest.mark.parametrize(
+        "profile,d,beta",
+        [
+            (Kolmogorov(), 1.2, 0.3),
+            (Polynomial((0.0, 1.0, 1.0, 0.4)), 1.0, 1.0),
+            (Polynomial((0.0, 1.0, 0.5)), 0.9, 0.5),
+        ],
+        ids=["kolmogorov-interior", "cubic-at-u0min", "dirichlet-limit"],
+    )
+    def test_walk_stops_at_first_point_past_weyl_depth(self, profile, d, beta, monkeypatch):
+        band = band_extrema(profile, d)
+        tol = 1e-6
+        solves = []
+        real = qgwave.eigen.principal_eigenvalue
+
+        def recorded(*args, **kwargs):
+            solves.append(real(*args, **kwargs))
+            return solves[-1]
+
+        monkeypatch.setattr(qgwave.eigen, "principal_eigenvalue", recorded)
+        lambda_inf_over_c(band, beta, tol=tol)
+        walk = [0.0] + [1e-4 * 2.0**k for k in range(80)]
+        n = 0  # the walk is the leading run of solves at c = u0_min - walk[k]
+        while n < len(solves) and solves[n].c == band.u0_min - walk[n]:
+            n += 1
+
+        def depth(k):  # the Weyl depth after the first k walk solves
+            best = min(res.lambda1 for res in solves[:k])
+            return qgwave.eigen._weyl_depth(band, beta, best - tol)
+
+        assert all(walk[k] < depth(k) for k in range(1, n))
+        assert walk[n] >= depth(n)
+
 
 class TestWaveSpeedRoot:
     def test_root_found_and_certified(self, couette_band):
@@ -611,30 +683,43 @@ class TestWaveSpeedRoot:
         assert abs(res.lambda1 + (2 * math.pi / 4.0) ** 2) <= tol
         assert res.c == calls[-1] < -1.0
         assert len(calls) <= 10
+        # lambda1 >= -(2 pi / L)^2 past the Weyl depth, so no solve goes there
+        depth = qgwave.eigen._weyl_depth(couette_band, 10.0, -((2 * math.pi / 4.0) ** 2))
+        assert all(-1.0 - depth < c <= -1.0 for c in calls)
 
     @pytest.mark.parametrize(
         "L,c_bisect",
         [(2.0, -0.5119918823242187), (4.0, -0.7206939697265624), (10.0, -1.00308837890625)],
     )
-    def test_matches_bisection_without_concavity(self, L, c_bisect):
+    def test_matches_bisection_without_concavity(self, L, c_bisect, monkeypatch):
         # beta = 4.268 < max u0'' = 4.4, so lambda1 need not be concave in c;
         # c_bisect is the root of bracket expansion and bisection at tol 1e-4
         band = band_extrema(Polynomial([0.0, 1.0, 1.0, 0.4]), 1.0)
         assert band.u0pp_max > 4.268
+        calls = []
+        solve = qgwave.eigen.principal_eigenvalue
+
+        def counted(*args, **kwargs):
+            calls.append(args[2])
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(qgwave.eigen, "principal_eigenvalue", counted)
         res = wave_speed_root(band, 4.268, L, tol=1e-4)
         assert abs(res.lambda1 + (2 * math.pi / L) ** 2) <= 1e-4
         assert res.c == pytest.approx(c_bisect, abs=1e-3)
+        depth = qgwave.eigen._weyl_depth(band, 4.268, -((2 * math.pi / L) ** 2))
+        assert all(band.u0_min - depth < c <= band.u0_min for c in calls)
 
     @pytest.mark.parametrize(
         "slope",
         [
-            # a zero or wrong-sign slope: 4x steps from u0_min (1, 4) until
-            # the far end is set, then bisection
+            # a zero or wrong-sign slope: every step bisects the interval
+            # from u0_min to the Weyl depth of the target
             lambda true_slope: 0.0,
             lambda true_slope: -true_slope,
             # a slope 5x too shallow: Newton steps overshoot the root, which
-            # sets the far end, later ones leave the interval (bisection) or
-            # land inside it from the far side
+            # moves the far end in; later ones leave the interval (bisection)
+            # or land inside it from the far side
             lambda true_slope: 0.2 * true_slope,
         ],
         ids=["zero", "wrong-sign", "shallow"],
@@ -648,7 +733,7 @@ class TestWaveSpeedRoot:
 
         def counted(*args, **kwargs):
             res = solve(*args, **kwargs)
-            calls.append(res.lambda1 + (2 * math.pi / 4.0) ** 2)
+            calls.append((res.c, res.lambda1 + (2 * math.pi / 4.0) ** 2))
             return res
 
         def patched(band, res):
@@ -659,12 +744,15 @@ class TestWaveSpeedRoot:
         res = wave_speed_root(couette_band, 10.0, 4.0, tol=tol)
         assert abs(res.lambda1 + (2 * math.pi / 4.0) ** 2) <= 0.75 * tol
         assert res.c == pytest.approx(ref.c, abs=1e-6)
-        assert max(calls) > 0.0  # some iterate passed the root: a far end was set
+        assert max(f for _, f in calls) > 0.0  # some iterate passed the root: a far end moved in
+        depth = qgwave.eigen._weyl_depth(couette_band, 10.0, -((2 * math.pi / 4.0) ** 2))
+        assert all(-1.0 - depth < c <= -1.0 for c, _ in calls)
 
     def test_search_past_bound_raises(self, couette_band, monkeypatch):
-        # a target no wave speed reaches, with no usable slope: the 4x steps
-        # from u0_min pass t = 1e12 and raise
+        # a target no solve reaches, with no usable slope: every step bisects
+        # inside (0, Weyl depth), and the Newton loop runs out of steps
         end = principal_eigenvalue(couette_band, 10.0, -1.0)
+        depth = qgwave.eigen._weyl_depth(couette_band, 10.0, -((2 * math.pi / 4.0) ** 2))
         calls = []
 
         def never_reaches(band, beta, c, **kwargs):
@@ -673,9 +761,10 @@ class TestWaveSpeedRoot:
 
         monkeypatch.setattr(qgwave.eigen, "principal_eigenvalue", never_reaches)
         monkeypatch.setattr(qgwave.eigen, "_c_slope", lambda band, res: 0.0)
-        with pytest.raises(DivergenceError):
+        with pytest.raises(ConvergenceError, match="200 steps"):
             wave_speed_root(couette_band, 10.0, 4.0)
-        assert calls[1:3] == [-2.0, -5.0]
+        assert calls[1:3] == [-1.0 - 0.5 * depth, -1.0 - 0.5 * (0.5 * depth + depth)]
+        assert all(-1.0 - depth <= c <= -1.0 for c in calls)
 
 
 class TestBoundaryCurve:

@@ -65,6 +65,8 @@ MATRIX = {
     "curve-json": ("curve", *BAND, "--beta-min", "1", "--beta-max", "3", "--n", "3", "--json"),
     "classify-json": ("classify", "--field", "f.json", "--json"),
     "verify-text": ("verify", "--field", "f.json"),
+    "inf-c-json": ("inf-c", "--profile", "kolmogorov", "--d", "1.2", "--beta", "0.3", "--json"),
+    "root-c-json": ("root-c", *BAND, "--beta", "10", "--L", "4", "--json"),
     "science-error": ("root-c", *BAND, "--beta", "1", "--L", "10"),
     "singular-error": ("eigen", "--profile", CLOSE_ZERO_PAIR, "--d", "1", "--beta", "2", "--c", "min"),
     "usage-error": ("eigen", "--nope"),

@@ -233,8 +233,8 @@ class TestBandExtrema:
         d = Fraction(rng.randint(8, 31), 16)
         bump = [1, 0, Fraction(3, 2 ** rng.randint(0, 3))]  # 1 + s y^2 > 0
         sign, flip = ("increasing", "decreasing") if k > 0 else ("decreasing", "increasing")
-        # two zeros between neighbouring nodes of 4097 on the band, times a positive
-        # factor that is smallest on a node far away, where samples of u0' peak
+        # two zeros less than h = 2d/4096 apart, times a positive factor that is
+        # smallest at q, 2048 h away from them: only the pair of zeros makes it "none"
         h, i = 2 * d / 4096, rng.randint(200, 1800)
         r1 = -d + (i + Fraction(rng.uniform(0.2, 0.4))) * h
         r2 = -d + (i + Fraction(rng.uniform(0.6, 0.8))) * h
@@ -301,7 +301,7 @@ class TestBandExtrema:
         ],
         ids=lambda v: v.spec() if hasattr(v, "spec") else str(v),
     )
-    def test_degree_two_exact_matches_scan(self, prof, d):
+    def test_degree_two_matches_closed_form(self, prof, d):
         # the reference is the closed form: walls plus the vertex -c1/(2 c2)
         band = band_extrema(prof, d)
         u0_min, u0_max, curvature, orientation = degree_two_band(prof, d)
