@@ -22,7 +22,7 @@ import re
 import sys
 
 from . import __version__
-from .channel import ChannelGeometry, Grid2D, diagnostics, dump_field, read_field, write_field
+from .channel import diagnostics, dump_field, read_field, write_field
 from .classify import DEFAULT_EPS_SCALE, classify
 from .eigen import (
     DEFAULT_EIGEN_TOL,
@@ -41,7 +41,6 @@ from .errors import (
     ProfileSpecError,
 )
 from .flows import (
-    KOLMOGOROV_PERIOD,
     MIN_CRITICAL_BETA0,
     Example31Params,
     GrsParams,
@@ -105,8 +104,9 @@ def _cmd_eigen(args):
 def _cmd_critical_beta(args):
     band = _band(args)
     bc = critical_beta(band, tol=args.tol)
-    # independent check through principal_eigenvalue: lambda1 left at the
-    # returned root, resolved in the problem's natural units pi^2/(4 d^2)
+    # check through principal_eigenvalue: lambda1 left at the returned root,
+    # on the same rungs solved as lambda1 rather than as the pencil, resolved
+    # in the problem's natural units pi^2/(4 d^2)
     scale = (math.pi / (2.0 * band.d)) ** 2
     res = principal_eigenvalue(band, bc, band.u0_min, tol=1e-6 * scale, want_vector=False)
     payload = {"beta_crit": bc, "residual_lambda1": res.lambda1}
@@ -185,37 +185,33 @@ def _cmd_verify(args):
     return payload, "".join(f"{k} = {_fmt(v)}\n" for k, v in payload.items())
 
 
+def _given(args, fields, dests=None):
+    """{field: value} for the fields whose flags the command line gave, the
+    flag of fields[i] having dest dests[i] (fields[i] itself by default)."""
+    given = vars(args)
+    return {f: given[dest] for f, dest in zip(fields, dests or fields) if dest in given}
+
+
 def _example_field(args):
     nx, ny = args.nx, args.ny
     if args.name == "ex31":
-        grid = Grid2D(nx, ny, ChannelGeometry(2.0 * math.pi, -1.0, 1.0))
-        p = Example31Params(
-            n=args.n,
-            k=args.k,
-            A=args.A,
-            A_tilde=args.A_tilde,
-            B=args.B,
-            c=args.c,
-            beta=args.beta if args.beta is not None else 1.0,
-        )
-        return make_inflection_wave(p, grid)
+        p = Example31Params(**_given(args, Example31Params._fields))
+        return make_inflection_wave(p, nx, ny)
     if args.name == "ex32":
-        grid = Grid2D(nx, ny, ChannelGeometry(2.0 * math.pi, -1.0, 1.0))
         if args.beta_mode == "beta0":
             beta = MIN_CRITICAL_BETA0
         elif args.beta_mode == "2beta0":
             beta = 2.0 * MIN_CRITICAL_BETA0
-        else:
-            if args.beta is None:
-                raise ProfileSpecError("ex32 needs --beta-mode beta0|2beta0 or an explicit --beta")
+        elif hasattr(args, "beta"):
             beta = args.beta
-        return make_min_critical_wave(beta, args.c, grid)
+        else:
+            raise ProfileSpecError("ex32 needs --beta-mode beta0|2beta0 or an explicit --beta")
+        return make_min_critical_wave(beta, nx, ny, **_given(args, ("c",)))
     if args.name == "ex33":
-        grid = Grid2D(nx, ny, ChannelGeometry(KOLMOGOROV_PERIOD, -math.pi, math.pi))
-        return make_kolmogorov_perturbed(args.eps, grid)
+        return make_kolmogorov_perturbed(args.eps, nx, ny)
     # grs: argparse limits --name to the four examples
-    grid = Grid2D(nx, ny, ChannelGeometry(args.Lx, -args.d, args.d))
-    return make_grs_vortex(GrsParams(args.a, args.b, args.k_exp), grid, args.clip_radius)
+    p = GrsParams(**_given(args, GrsParams._fields, ("a", "b", "k_exp")))
+    return make_grs_vortex(p, nx, ny, args.Lx, args.d, args.clip_radius)
 
 
 def _cmd_example(args):
@@ -319,18 +315,19 @@ def _example_args(p):
     p.add_argument("--name", required=True, choices=["ex31", "ex32", "ex33", "grs"])
     p.add_argument("--nx", type=int, default=256)
     p.add_argument("--ny", type=int, default=129)
-    p.add_argument("--beta", type=float, default=None)
+    unset = argparse.SUPPRESS  # a field's flag not given leaves the field its default
+    p.add_argument("--beta", type=float, default=unset)
     p.add_argument("--beta-mode", choices=["beta0", "2beta0"], default=None)
-    p.add_argument("--c", type=float, default=0.0)
-    p.add_argument("--n", type=int, default=1)
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--A", type=float, default=1.0)
-    p.add_argument("--A-tilde", type=float, default=0.0)
-    p.add_argument("--B", type=float, default=0.0)
+    p.add_argument("--c", type=float, default=unset)
+    p.add_argument("--n", type=int, default=unset)
+    p.add_argument("--k", type=int, default=unset)
+    p.add_argument("--A", type=float, default=unset)
+    p.add_argument("--A-tilde", type=float, default=unset)
+    p.add_argument("--B", type=float, default=unset)
     p.add_argument("--eps", type=float, default=0.1)
-    p.add_argument("--a", type=float, default=2.0)
-    p.add_argument("--b", type=float, default=1.0)
-    p.add_argument("--k-exp", type=float, default=3.0)
+    p.add_argument("--a", type=float, default=unset)
+    p.add_argument("--b", type=float, default=unset)
+    p.add_argument("--k-exp", type=float, default=unset)
     p.add_argument("--clip-radius", type=float, default=1.5)
     p.add_argument("--Lx", type=float, default=4.0)
     p.add_argument("--d", type=float, default=2.0)

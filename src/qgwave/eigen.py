@@ -391,7 +391,8 @@ def wave_speed_root(band: ProfileOnBand, beta: float, L: float, tol: float = DEF
     lambda1 >= target, so that depth is the first far end.  An iterate with
     f < 0 moves the near end, one with f > 0 sets the far end, and a step
     out of the known interval becomes a bisection.  Each solve is at tol/4;
-    the one with |f| <= 0.75 tol is returned.
+    the one with |f| <= 0.75 tol is returned.  A bisection that lands on an
+    end, because no float lies between them, raises ConvergenceError.
     """
     if not band.monotone:
         raise DomainError("wave_speed_root needs a monotone profile on the band")
@@ -421,6 +422,11 @@ def wave_speed_root(band: ProfileOnBand, beta: float, L: float, tol: float = DEF
         t = t - f / df_dt if df_dt > 0.0 else t_near  # wrong-sign slope: safeguard
         if not (t_near < t < t_far):
             t = 0.5 * (t_near + t_far)
+            if not (t_near < t < t_far):
+                raise ConvergenceError(
+                    f"wave-speed bracket c in [{band.u0_min - t_far}, {band.u0_min - t_near}] "
+                    f"holds no float between its ends; last residual {f}"
+                )
         res = principal_eigenvalue(band, beta, band.u0_min - t, tol=tol / 4.0)
         f = res.lambda1 - target
         if abs(f) <= 0.75 * tol:

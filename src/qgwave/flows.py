@@ -1,8 +1,11 @@
 """Closed-form traveling-wave and steady solutions for classifier tests.
 
-Every constructor samples exact velocity expressions at the grid nodes, so
-diagnostic residuals measure only the discrete stencils, never a sampled
-stream function's differentiation error.
+Each maker takes the grid size nx, ny and builds the channel its closed
+form is exact on: ex31 and ex32 on T_{2pi} x [-1, 1], the perturbed
+Kolmogorov flow on T_{4pi/sqrt(3)} x [-pi, pi], and the GRS vortex on the
+band [-d, d] of the given zonal period.  Every maker samples exact velocity
+expressions at the grid nodes, so diagnostic residuals measure only the
+discrete stencils, never a sampled stream function's differentiation error.
 """
 
 import math
@@ -10,25 +13,16 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import Grid2D, WaveField
+from .channel import ChannelGeometry, Grid2D, WaveField
 from .errors import DomainError
 
 #: beta at which the extremum/critical example has u_min = c: (pi/2)(pi^2/4 + 1).
 MIN_CRITICAL_BETA0 = 0.5 * math.pi * (0.25 * math.pi**2 + 1.0)
 
 
-def _require_geometry(grid: Grid2D, L: float, d_minus: float, d_plus: float, what: str):
-    g = grid.geometry
-    ok = (
-        math.isclose(g.L, L, rel_tol=1e-12, abs_tol=1e-12)
-        and math.isclose(g.d_minus, d_minus, rel_tol=1e-12, abs_tol=1e-12)
-        and math.isclose(g.d_plus, d_plus, rel_tol=1e-12, abs_tol=1e-12)
-    )
-    if not ok:
-        raise DomainError(
-            f"{what} needs geometry L={L}, band [{d_minus}, {d_plus}]; "
-            f"got L={g.L}, band [{g.d_minus}, {g.d_plus}]"
-        )
+def _channel(nx: int, ny: int, L: float, d: float) -> Grid2D:
+    """The nx-by-ny grid on T_L x [-d, d]."""
+    return Grid2D(nx, ny, ChannelGeometry(L, -d, d))
 
 
 def _require_finite(**params):
@@ -72,13 +66,13 @@ class Example31Params(_Example31):
         return -float(self.n**2) - (2 * self.k + 1) ** 2 * math.pi**2 / 4.0
 
 
-def make_inflection_wave(p: Example31Params, grid: Grid2D) -> WaveField:
-    """Wave whose speed is a generalized inflection value of u.
+def make_inflection_wave(p: Example31Params, nx: int, ny: int) -> WaveField:
+    """Wave whose speed is a generalized inflection value of u, on T_{2pi} x [-1, 1].
 
     The field satisfies (beta - lap u) = -lambda (u - c) pointwise, so the
     inflection set {beta - lap u = 0} coincides with the level set {u = c}.
     """
-    _require_geometry(grid, 2.0 * math.pi, -1.0, 1.0, "inflection-wave example")
+    grid = _channel(nx, ny, 2.0 * math.pi, 1.0)
     X, Y = grid.x, grid.y[:, None]  # the axes; each product broadcasts to (ny, nx)
     lam = p.lam
     mu = (2 * p.k + 1) * math.pi / 2.0
@@ -95,18 +89,17 @@ def make_inflection_wave(p: Example31Params, grid: Grid2D) -> WaveField:
     return WaveField(grid, u, v, p.c, p.beta)
 
 
-def make_min_critical_wave(beta: float, c: float, grid: Grid2D) -> WaveField:
-    """Wave illustrating the extremum / critical-value / outside categories.
+def make_min_critical_wave(beta: float, nx: int, ny: int, c: float = 0.0) -> WaveField:
+    """Wave illustrating the extremum / critical-value / outside categories,
+    on T_{2pi} x [-1, 1].
 
     Ran(u) = [c + beta/(pi^2/4 + 1) - pi/2, c + beta/(pi^2/4 + 1) + pi/2].
     At beta = MIN_CRITICAL_BETA0 the speed c equals u_min and (pi, 1) is a
     stagnation point of u at level c; for beta > MIN_CRITICAL_BETA0 the speed
     falls strictly between c_beta_plus and u_min.
     """
+    grid = _channel(nx, ny, 2.0 * math.pi, 1.0)
     _require_finite(beta=beta, c=c)
-    if beta < 0:
-        raise DomainError(f"beta must be >= 0, got {beta}")
-    _require_geometry(grid, 2.0 * math.pi, -1.0, 1.0, "extremum/critical example")
     X, Y = grid.x, grid.y[:, None]
     shift = beta / (0.25 * math.pi**2 + 1.0)
     u = c + shift + (math.pi / 2.0) * np.cos(X) * np.sin(math.pi * Y / 2.0)
@@ -118,14 +111,15 @@ def make_min_critical_wave(beta: float, c: float, grid: Grid2D) -> WaveField:
 KOLMOGOROV_PERIOD = 4.0 * math.pi / math.sqrt(3.0)
 
 
-def make_kolmogorov_perturbed(eps: float, grid: Grid2D) -> WaveField:
-    """Steady (c = 0, beta = 0) cellular perturbation of the sin(y) shear.
+def make_kolmogorov_perturbed(eps: float, nx: int, ny: int) -> WaveField:
+    """Steady (c = 0, beta = 0) cellular perturbation of the sin(y) shear, on
+    T_{KOLMOGOROV_PERIOD} x [-pi, pi].
 
     Satisfies -lap u = u, so every point of the centerline y = 0 is a
     generalized inflection point at level u = 0 = c.
     """
+    grid = _channel(nx, ny, KOLMOGOROV_PERIOD, math.pi)
     _require_finite(eps=eps)
-    _require_geometry(grid, KOLMOGOROV_PERIOD, -math.pi, math.pi, "perturbed Kolmogorov example")
     X, Y = grid.x, grid.y[:, None]
     kx = math.sqrt(3.0) / 2.0
     u = np.sin(Y) + 0.5 * eps * np.sin(Y / 2.0) * np.sin(kx * X)
@@ -165,25 +159,25 @@ class GrsParams(_Grs):
         return self.a - np.sqrt(arg)
 
 
-def make_grs_vortex(p: GrsParams, grid: Grid2D, clip_radius: float) -> WaveField:
-    """Stationary vortex (u, v) = (-y, x) * mu(r) clipped at clip_radius.
+def make_grs_vortex(
+    p: GrsParams, nx: int, ny: int, L: float, d: float, clip_radius: float
+) -> WaveField:
+    """Stationary vortex (u, v) = (-y, x) * mu(r) clipped at clip_radius, on
+    T_L x [-d, d].
 
     The model is local to the vortex, so the rotational field is tapered to
     zero with a smooth cosine ramp over the last 10% of the clip radius;
     x distances are taken periodically so the vortex sits centered on the
-    x = 0 node.  Requires a y-band centered at the origin and a clip radius
-    inside the domain of mu.
+    x = 0 node.  Requires a clip radius inside the domain of mu.
     """
-    g = grid.geometry
-    if not math.isclose(g.d_minus, -g.d_plus, rel_tol=1e-12, abs_tol=1e-12):
-        raise DomainError("vortex example needs a band centered at y = 0")
+    grid = _channel(nx, ny, L, d)
     _require_finite(clip_radius=clip_radius)
     if not (clip_radius > 0):
         raise DomainError(f"clip radius must be positive, got {clip_radius}")
     p.mu(clip_radius)  # raises DomainError unless mu is real out to the clip radius
 
     X, Y = grid.x, grid.y[:, None]
-    Xd = X - g.L * np.round(X / g.L)  # periodic displacement from the x = 0 node
+    Xd = X - L * np.round(X / L)  # periodic displacement from the x = 0 node
     r = np.hypot(Xd, Y)
 
     inside = r < clip_radius

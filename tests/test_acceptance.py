@@ -12,9 +12,7 @@ import numpy as np
 import pytest
 
 from qgwave import (
-    ChannelGeometry,
     ConcaveParabola,
-    Grid2D,
     Kolmogorov,
     LinearProfile,
     band_extrema,
@@ -28,7 +26,6 @@ from qgwave import (
 )
 from qgwave.cli import main
 from qgwave.flows import (
-    KOLMOGOROV_PERIOD,
     MIN_CRITICAL_BETA0,
     Example31Params,
     GrsParams,
@@ -197,9 +194,7 @@ def test_criterion_08_classification_of_examples():
     ok = True
     detail = []
     for nx, ny in ((128, 65), (256, 129)):
-        grid = Grid2D(nx, ny, ChannelGeometry(2 * math.pi, -1.0, 1.0))
-
-        rep = classify(make_min_critical_wave(MIN_CRITICAL_BETA0, 0.0, grid))
+        rep = classify(make_min_critical_wave(MIN_CRITICAL_BETA0, nx, ny))
         case_ok = (
             rep.category_extremum
             and rep.category_critical
@@ -209,7 +204,7 @@ def test_criterion_08_classification_of_examples():
         ok = ok and case_ok
         detail.append(f"{nx}x{ny} beta0:{'+' if case_ok else '-'}")
 
-        rep = classify(make_min_critical_wave(2 * MIN_CRITICAL_BETA0, 0.0, grid))
+        rep = classify(make_min_critical_wave(2 * MIN_CRITICAL_BETA0, nx, ny))
         case_ok = (
             rep.categories() == ("outside",)
             and rep.c_beta_plus < rep.c < rep.u_min
@@ -218,8 +213,7 @@ def test_criterion_08_classification_of_examples():
         ok = ok and case_ok
         detail.append(f"2beta0:{'+' if case_ok else '-'}")
 
-        kgrid = Grid2D(nx, ny, ChannelGeometry(KOLMOGOROV_PERIOD, -math.pi, math.pi))
-        rep = classify(make_kolmogorov_perturbed(0.1, kgrid))
+        rep = classify(make_kolmogorov_perturbed(0.1, nx, ny))
         case_ok = rep.categories() == ("inflection",) and rep.theorem_consistent
         ok = ok and case_ok
         detail.append(f"kolmogorov:{'+' if case_ok else '-'}")
@@ -235,37 +229,23 @@ def test_criterion_09_residual_convergence():
     ok = True
     detail = []
     makers = {
-        "inflection": (
-            lambda g: make_inflection_wave(Example31Params(beta=1.0), g),
-            2 * math.pi,
-            1.0,
-        ),
-        "min-critical": (
-            lambda g: make_min_critical_wave(MIN_CRITICAL_BETA0, 0.0, g),
-            2 * math.pi,
-            1.0,
-        ),
-        "kolmogorov": (
-            lambda g: make_kolmogorov_perturbed(0.1, g),
-            KOLMOGOROV_PERIOD,
-            math.pi,
-        ),
+        "inflection": lambda nx, ny: make_inflection_wave(Example31Params(beta=1.0), nx, ny),
+        "min-critical": lambda nx, ny: make_min_critical_wave(MIN_CRITICAL_BETA0, nx, ny),
+        "kolmogorov": lambda nx, ny: make_kolmogorov_perturbed(0.1, nx, ny),
     }
-    for name, (maker, L, d) in makers.items():
+    for name, maker in makers.items():
         errs = []
         for nx in (64, 128, 256):
-            grid = Grid2D(nx, nx + 1, ChannelGeometry(L, -d, d))
-            errs.append(diagnostics(maker(grid)).residual_inf)
+            errs.append(diagnostics(maker(nx, nx + 1)).residual_inf)
         orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
         case_ok = min(orders) >= 1.9
         ok = ok and case_ok
         detail.append(f"{name}: orders {orders[0]:.2f},{orders[1]:.2f}")
 
-    grid = Grid2D(256, 257, ChannelGeometry(4.0, -2.0, 2.0))
-    wf = make_grs_vortex(GrsParams(), grid, clip_radius=1.5)
+    wf = make_grs_vortex(GrsParams(), 256, 257, 4.0, 2.0, clip_radius=1.5)
     iy = 128
     u0 = abs(wf.u[iy, 0])
-    lap0 = abs(laplacian(wf.u, grid)[iy, 0])
+    lap0 = abs(laplacian(wf.u, wf.grid)[iy, 0])
     core_ok = u0 < 1e-6 and lap0 < 1e-6
     ok = ok and core_ok
     detail.append(f"vortex core |u|={u0:.1e} |lap u|={lap0:.1e}")

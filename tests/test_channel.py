@@ -29,7 +29,6 @@ from qgwave import (
 from qgwave import channel, cli
 from qgwave.cli import main
 from qgwave.flows import (
-    KOLMOGOROV_PERIOD,
     MIN_CRITICAL_BETA0,
     Example31Params,
     GrsParams,
@@ -145,13 +144,10 @@ class TestLaplacian:
 
     def test_kolmogorov_field_is_eigenfunction(self):
         # -lap(u) = u for the perturbed Kolmogorov field, within O(h^2)
-        from qgwave.flows import KOLMOGOROV_PERIOD, make_kolmogorov_perturbed
-
         errs = []
         for nx, ny in ((64, 65), (128, 129)):
-            grid = Grid2D(nx, ny, ChannelGeometry(KOLMOGOROV_PERIOD, -math.pi, math.pi))
-            wf = make_kolmogorov_perturbed(0.1, grid)
-            errs.append(np.max(np.abs(laplacian(wf.u, grid) + wf.u)))
+            wf = make_kolmogorov_perturbed(0.1, nx, ny)
+            errs.append(np.max(np.abs(laplacian(wf.u, wf.grid) + wf.u)))
         assert errs[0] / errs[1] >= 3.7
         assert errs[1] < 5e-3
 
@@ -189,17 +185,15 @@ class TestDiagnostics:
         p = Example31Params(n=1, k=1, A=1.0, beta=1.0)
         errs = []
         for nx in (64, 128):
-            grid = std_grid(nx=nx, ny=nx + 1)
-            wf = make_inflection_wave(p, grid)
+            wf = make_inflection_wave(p, nx, nx + 1)
             errs.append(diagnostics(wf).residual_inf)
         assert errs[0] / errs[1] >= 2 ** 1.9
 
     def test_grs_core_values(self):
-        grid = Grid2D(128, 129, ChannelGeometry(4.0, -2.0, 2.0))
-        wf = make_grs_vortex(GrsParams(a=2.0, b=1.0, k=3.0), grid, clip_radius=1.5)
+        wf = make_grs_vortex(GrsParams(a=2.0, b=1.0, k=3.0), 128, 129, 4.0, 2.0, clip_radius=1.5)
         iy = 64  # y = 0 row
         assert abs(wf.u[iy, 0]) < 1e-8
-        lap_u = laplacian(wf.u, grid)
+        lap_u = laplacian(wf.u, wf.grid)
         assert abs(lap_u[iy, 0]) < 1e-8
 
     def test_total_vorticity_field(self):
@@ -292,14 +286,10 @@ def _assert_written(wf, text, tmp_path):
 
 
 _EXAMPLES = {
-    "ex31": lambda: make_inflection_wave(Example31Params(), std_grid(nx=16, ny=11)),
-    "ex32": lambda: make_min_critical_wave(MIN_CRITICAL_BETA0, 0.0, std_grid(nx=16, ny=11)),
-    "ex33": lambda: make_kolmogorov_perturbed(
-        0.1, Grid2D(16, 11, ChannelGeometry(KOLMOGOROV_PERIOD, -math.pi, math.pi))
-    ),
-    "grs": lambda: make_grs_vortex(
-        GrsParams(), Grid2D(32, 33, ChannelGeometry(4.0, -2.0, 2.0)), 1.5
-    ),
+    "ex31": lambda: make_inflection_wave(Example31Params(), 16, 11),
+    "ex32": lambda: make_min_critical_wave(MIN_CRITICAL_BETA0, 16, 11),
+    "ex33": lambda: make_kolmogorov_perturbed(0.1, 16, 11),
+    "grs": lambda: make_grs_vortex(GrsParams(), 32, 33, 4.0, 2.0, 1.5),
 }
 
 
@@ -666,7 +656,7 @@ class TestStencilBits:
         fields = [
             rng.standard_normal(grid.shape) * 10.0 ** rng.uniform(-300, 300, (ny, 1)),
             np.round(rng.standard_normal(grid.shape), 1) * -0.0,
-            make_inflection_wave(Example31Params(A_tilde=0.3, B=0.2), grid).u
+            make_inflection_wave(Example31Params(A_tilde=0.3, B=0.2), nx, ny).u
             if (L, dm, dp) == (2 * math.pi, -1, 1) else rng.uniform(-1, 1, grid.shape),
         ]
         for f in fields:
@@ -696,7 +686,7 @@ class TestFieldMemory:
 
     @pytest.fixture(scope="class")
     def ex31(self, tmp_path_factory):
-        wf = make_inflection_wave(Example31Params(A_tilde=0.3, B=0.2, c=0.1), std_grid(256, 129))
+        wf = make_inflection_wave(Example31Params(A_tilde=0.3, B=0.2, c=0.1), 256, 129)
         path = tmp_path_factory.mktemp("mem") / "ex31.json"
         write_field(wf, path)
         return wf, path
@@ -718,6 +708,5 @@ class TestFieldMemory:
     def test_classify_grs_peak_at_most_seven_field_arrays(self):
         # the inflection and critical masks cover most of a GRS field, so the
         # witness scores must be formed on the masked nodes only
-        grid = Grid2D(256, 129, ChannelGeometry(6.0, -3.0, 3.0))
-        wf = make_grs_vortex(GrsParams(), grid, clip_radius=1.5)
+        wf = make_grs_vortex(GrsParams(), 256, 129, 6.0, 3.0, clip_radius=1.5)
         assert _traced_peak(lambda: classify(wf)) <= 7 * wf.u.nbytes

@@ -23,7 +23,6 @@ from qgwave import (
 from qgwave.channel import laplacian
 from qgwave.classify import _level_mask
 from qgwave.flows import (
-    KOLMOGOROV_PERIOD,
     MIN_CRITICAL_BETA0,
     Example31Params,
     GrsParams,
@@ -36,12 +35,8 @@ from qgwave.flows import (
 from _oracles import level_mask, rigidity_predicates, witnesses
 
 
-def channel_grid(nx=256, ny=129):
+def channel_grid(nx, ny):
     return Grid2D(nx, ny, ChannelGeometry(2 * math.pi, -1.0, 1.0))
-
-
-def kolmogorov_grid(nx=256, ny=129):
-    return Grid2D(nx, ny, ChannelGeometry(KOLMOGOROV_PERIOD, -math.pi, math.pi))
 
 
 def shear_field(profile, beta, grid=None, c=0.0):
@@ -54,11 +49,9 @@ def shear_field(profile, beta, grid=None, c=0.0):
 
 # the oracle cases: three genuine waves and four shear flows
 ORACLE_FIELDS = {
-    "ex31": lambda: make_inflection_wave(Example31Params(beta=1.0), channel_grid(128, 65)),
-    "ex32": lambda: make_min_critical_wave(MIN_CRITICAL_BETA0, 0.0, channel_grid(128, 65)),
-    "grs": lambda: make_grs_vortex(
-        GrsParams(), Grid2D(128, 129, ChannelGeometry(4.0, -2.0, 2.0)), clip_radius=1.5
-    ),
+    "ex31": lambda: make_inflection_wave(Example31Params(beta=1.0), 128, 65),
+    "ex32": lambda: make_min_critical_wave(MIN_CRITICAL_BETA0, 128, 65),
+    "grs": lambda: make_grs_vortex(GrsParams(), 128, 129, 4.0, 2.0, clip_radius=1.5),
     "poiseuille_window": lambda: shear_field(CouettePoiseuille(0.0), beta=1.0),
     "f_plane_parabola": lambda: shear_field(Polynomial((0.0, 0.0, 1.0)), beta=0.0, c=-5.0),
     "couette_speed_gap": lambda: shear_field(couette(), beta=1.0, c=-99.0),
@@ -87,14 +80,14 @@ class TestSpeedBound:
             c_beta_plus(-0.1, -1.0, 1.0, 0.0, 1.0)
 
     def test_example_speed_sits_between_bound_and_minimum(self):
-        wf = make_min_critical_wave(2 * MIN_CRITICAL_BETA0, 0.0, channel_grid())
+        wf = make_min_critical_wave(2 * MIN_CRITICAL_BETA0, 256, 129)
         rep = classify(wf)
         assert rep.c_beta_plus < wf.c < rep.u_min
 
 
 class TestClassify:
     def test_min_critical_example_at_beta0(self):
-        wf = make_min_critical_wave(MIN_CRITICAL_BETA0, 0.0, channel_grid())
+        wf = make_min_critical_wave(MIN_CRITICAL_BETA0, 256, 129)
         rep = classify(wf)
         assert rep.genuine
         assert rep.category_extremum
@@ -108,13 +101,13 @@ class TestClassify:
         )
 
     def test_min_critical_example_outside_range(self):
-        wf = make_min_critical_wave(2 * MIN_CRITICAL_BETA0, 0.0, channel_grid())
+        wf = make_min_critical_wave(2 * MIN_CRITICAL_BETA0, 256, 129)
         rep = classify(wf)
         assert rep.categories() == ("outside",)
         assert rep.theorem_consistent
 
     def test_kolmogorov_perturbed_inflection_only(self):
-        wf = make_kolmogorov_perturbed(0.1, kolmogorov_grid())
+        wf = make_kolmogorov_perturbed(0.1, 256, 129)
         rep = classify(wf)
         assert rep.genuine and rep.beta == 0.0
         assert rep.categories() == ("inflection",)
@@ -124,7 +117,7 @@ class TestClassify:
         assert all(abs(w["y"]) < 1e-9 for w in rep.inflection_witnesses)
 
     def test_inflection_example_consistent(self):
-        wf = make_inflection_wave(Example31Params(beta=1.0), channel_grid())
+        wf = make_inflection_wave(Example31Params(beta=1.0), 256, 129)
         rep = classify(wf)
         assert rep.genuine and rep.category_inflection and rep.theorem_consistent
 
@@ -137,13 +130,12 @@ class TestClassify:
         assert rep.theorem_consistent  # vacuously
 
     def test_shear_from_zero_amplitude_wave(self):
-        wf = make_inflection_wave(Example31Params(A=0.0, beta=1.0), channel_grid(64, 65))
+        wf = make_inflection_wave(Example31Params(A=0.0, beta=1.0), 64, 65)
         assert not classify(wf).genuine
 
     def test_galilean_relabeling_invariance(self):
-        grid = channel_grid(128, 65)
-        wf = make_min_critical_wave(MIN_CRITICAL_BETA0, 0.0, grid)
-        shifted = WaveField(grid, wf.u + 5.0, wf.v, wf.c + 5.0, wf.beta)
+        wf = make_min_critical_wave(MIN_CRITICAL_BETA0, 128, 65)
+        shifted = WaveField(wf.grid, wf.u + 5.0, wf.v, wf.c + 5.0, wf.beta)
         a = classify(wf)
         b = classify(shifted)
         assert a.categories() == b.categories()
@@ -153,7 +145,7 @@ class TestClassify:
         for beta in (MIN_CRITICAL_BETA0, 2 * MIN_CRITICAL_BETA0):
             cats = []
             for nx, ny in ((128, 65), (256, 129)):
-                wf = make_min_critical_wave(beta, 0.0, channel_grid(nx, ny))
+                wf = make_min_critical_wave(beta, nx, ny)
                 cats.append(classify(wf).categories())
             assert cats[0] == cats[1]
 
@@ -168,7 +160,7 @@ class TestClassify:
     @pytest.mark.parametrize("name", ["ex31", "ex32", "ex33", "grs"])
     def test_level_masks_match_roll_oracle(self, name):
         if name == "ex33":
-            wf = make_kolmogorov_perturbed(0.1, kolmogorov_grid(128, 65))
+            wf = make_kolmogorov_perturbed(0.1, 128, 65)
         else:
             wf = ORACLE_FIELDS[name]()
         rep = classify(wf)
@@ -188,7 +180,7 @@ class TestClassify:
             assert np.array_equal(_level_mask(f, eps), level_mask(f, eps))
 
     def test_eps_scale_must_be_positive(self):
-        wf = make_min_critical_wave(MIN_CRITICAL_BETA0, 0.0, channel_grid(64, 65))
+        wf = make_min_critical_wave(MIN_CRITICAL_BETA0, 64, 65)
         with pytest.raises(DomainError):
             classify(wf, eps_scale=0.0)
 
@@ -232,7 +224,7 @@ class TestRigidityPredicates:
         assert window.conclusion == "shear flow"  # 0.3 < threshold ~ 0.565
 
     def test_genuine_wave_defeats_every_theorem(self):
-        wf = make_inflection_wave(Example31Params(beta=1.0), channel_grid(128, 65))
+        wf = make_inflection_wave(Example31Params(beta=1.0), 128, 65)
         verdict = classify(wf).rigidity
         assert not verdict.shear_concluded()
         for theorem in verdict.applicable_theorems:
@@ -270,7 +262,7 @@ class TestRigidityPredicates:
 
         for name in counts:
             monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
-        classify(make_inflection_wave(Example31Params(beta=1.0), channel_grid(128, 65)))
+        classify(make_inflection_wave(Example31Params(beta=1.0), 128, 65))
         assert counts == {"gradient": 5, "laplacian": 1}
 
 
@@ -299,7 +291,7 @@ class TestToDict:
 
     def test_rigidity_verdict_json_is_objects_all_the_way_down(self):
         verdict = classify(
-            make_inflection_wave(Example31Params(beta=1.0), channel_grid(64, 33))
+            make_inflection_wave(Example31Params(beta=1.0), 64, 33)
         ).rigidity
         doc = json.loads(json.dumps(verdict.to_dict()))
         assert list(doc) == ["applicable_theorems"]
@@ -314,7 +306,7 @@ class TestToDict:
                 }
 
     def test_classification_report_json_is_objects(self):
-        report = classify(make_min_critical_wave(MIN_CRITICAL_BETA0, 0.0, channel_grid(64, 33)))
+        report = classify(make_min_critical_wave(MIN_CRITICAL_BETA0, 64, 33))
         doc = json.loads(json.dumps(report.to_dict()))
         assert doc.keys() == {*report._fields, "categories"}
         assert doc["categories"] == list(report.categories())

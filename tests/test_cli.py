@@ -10,9 +10,9 @@ import qgwave
 import qgwave.cli
 import qgwave.eigen
 from qgwave.cli import main
-from qgwave.flows import MIN_CRITICAL_BETA0
+from qgwave.flows import MIN_CRITICAL_BETA0, Example31Params
 
-from _oracles import CLOSE_ZERO_PAIR
+from _oracles import CLOSE_ZERO_PAIR, inflection_wave_on_mesh
 
 
 def _reject_constant(name):
@@ -236,6 +236,33 @@ class TestExamplePipeline:
         assert code == 0
         doc = json.loads(path.read_text())
         assert doc["beta"] == 0.0 and doc["c"] == 0.0
+
+    def test_ex32_needs_a_beta(self, capsys):
+        code, out, err = run_cli(capsys, "example", "--name", "ex32", "--nx", "16", "--ny", "11")
+        assert (code, out) == (2, "")
+        assert err == "qgwave: ex32 needs --beta-mode beta0|2beta0 or an explicit --beta\n"
+
+    def test_ex32_explicit_beta(self, capsys, tmp_path):
+        path = tmp_path / "ex32.json"
+        argv = ("--name", "ex32", "--beta", "3.5", "--nx", "16", "--ny", "11", "-o", str(path))
+        assert run_cli(capsys, "example", *argv) == (0, "", "")
+        assert qgwave.read_field(path).beta == 3.5
+
+    def test_ex31_defaults_are_the_records(self, capsys, tmp_path):
+        path = tmp_path / "ex31.json"
+        argv = ("--name", "ex31", "--nx", "16", "--ny", "11", "-o", str(path))
+        assert run_cli(capsys, "example", *argv) == (0, "", "")
+        wf = qgwave.read_field(path)
+        p = Example31Params()
+        assert (wf.beta, wf.c) == (p.beta, p.c) == (1.0, 0.0)
+        u, v = inflection_wave_on_mesh(p, wf.grid)
+        assert np.array_equal(wf.u, u) and np.array_equal(wf.v, v)
+
+    def test_grs_channel_from_flags(self, capsys, tmp_path):
+        path = tmp_path / "grs.json"
+        argv = ("--name", "grs", "--Lx", "6", "--d", "3", "--nx", "16", "--ny", "11")
+        assert run_cli(capsys, "example", *argv, "-o", str(path)) == (0, "", "")
+        assert qgwave.read_field(path).grid.geometry == (6.0, -3.0, 3.0)
 
     @pytest.mark.parametrize("content", [None, b"\xff{"], ids=["missing", "undecodable"])
     def test_classify_missing_file_exits_2(self, capsys, tmp_path, content):

@@ -750,7 +750,8 @@ class TestWaveSpeedRoot:
 
     def test_search_past_bound_raises(self, couette_band, monkeypatch):
         # a target no solve reaches, with no usable slope: every step bisects
-        # inside (0, Weyl depth), and the Newton loop runs out of steps
+        # inside (0, Weyl depth) until no float is left between the ends,
+        # and the loop stops there rather than re-solve an end
         end = principal_eigenvalue(couette_band, 10.0, -1.0)
         depth = qgwave.eigen._weyl_depth(couette_band, 10.0, -((2 * math.pi / 4.0) ** 2))
         calls = []
@@ -761,8 +762,9 @@ class TestWaveSpeedRoot:
 
         monkeypatch.setattr(qgwave.eigen, "principal_eigenvalue", never_reaches)
         monkeypatch.setattr(qgwave.eigen, "_c_slope", lambda band, res: 0.0)
-        with pytest.raises(ConvergenceError, match="200 steps"):
+        with pytest.raises(ConvergenceError, match="holds no float between its ends"):
             wave_speed_root(couette_band, 10.0, 4.0)
+        assert len(set(calls)) == len(calls) == 53
         assert calls[1:3] == [-1.0 - 0.5 * depth, -1.0 - 0.5 * (0.5 * depth + depth)]
         assert all(-1.0 - depth <= c <= -1.0 for c in calls)
 

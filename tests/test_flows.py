@@ -1,4 +1,4 @@
-"""Closed-form example flows: identities, residual convergence, geometry checks."""
+"""Closed-form example flows: identities, residual convergence, their channels."""
 
 import math
 
@@ -30,14 +30,6 @@ from _oracles import (
     kolmogorov_perturbed_on_mesh,
     min_critical_wave_on_mesh,
 )
-
-
-def channel_grid(nx=128, ny=129):
-    return Grid2D(nx, ny, ChannelGeometry(2 * math.pi, -1.0, 1.0))
-
-
-def kolmogorov_grid(nx=128, ny=129):
-    return Grid2D(nx, ny, ChannelGeometry(KOLMOGOROV_PERIOD, -math.pi, math.pi))
 
 
 class TestParams:
@@ -75,15 +67,15 @@ class TestParams:
             (lambda: GrsParams(a=math.inf), "a must be finite, got a=inf"),
             (lambda: GrsParams(b=math.nan), "b must be finite, got b=nan"),
             (lambda: GrsParams(k=math.inf), "k must be finite, got k=inf"),
-            (lambda: make_min_critical_wave(math.nan, 0.0, channel_grid()),
+            (lambda: make_min_critical_wave(math.nan, 16, 9),
              "beta must be finite, got beta=nan"),
-            (lambda: make_min_critical_wave(1.0, math.inf, channel_grid()),
+            (lambda: make_min_critical_wave(1.0, 16, 9, c=math.inf),
              "c must be finite, got c=inf"),
-            (lambda: make_kolmogorov_perturbed(math.inf, kolmogorov_grid()),
+            (lambda: make_kolmogorov_perturbed(math.inf, 16, 9),
              "eps must be finite, got eps=inf"),
-            (lambda: make_grs_vortex(GrsParams(), channel_grid(), math.inf),
+            (lambda: make_grs_vortex(GrsParams(), 16, 9, 4.0, 2.0, math.inf),
              "clip_radius must be finite, got clip_radius=inf"),
-            (lambda: make_grs_vortex(GrsParams(), channel_grid(), math.nan),
+            (lambda: make_grs_vortex(GrsParams(), 16, 9, 4.0, 2.0, math.nan),
              "clip_radius must be finite, got clip_radius=nan"),
             (lambda: ChannelGeometry(4.0, -math.inf, math.inf),
              "band endpoint must be finite, got d_minus=-inf"),
@@ -110,60 +102,53 @@ class TestAxesMatchMeshgrid:
 
     @pytest.mark.parametrize("nx, ny", GRID_SHAPES)
     def test_inflection_wave(self, nx, ny):
-        grid = channel_grid(nx, ny)
         p = Example31Params(n=2, k=3, A=1.05, A_tilde=0.03, B=-0.02, c=0.1, beta=1.3)
-        wf = make_inflection_wave(p, grid)
-        for actual, expected in zip((wf.u, wf.v), inflection_wave_on_mesh(p, grid)):
+        wf = make_inflection_wave(p, nx, ny)
+        for actual, expected in zip((wf.u, wf.v), inflection_wave_on_mesh(p, wf.grid)):
             _same_bits(actual, expected)
 
     @pytest.mark.parametrize("nx, ny", GRID_SHAPES)
     def test_min_critical_wave(self, nx, ny):
-        grid = channel_grid(nx, ny)
-        wf = make_min_critical_wave(MIN_CRITICAL_BETA0, 0.3, grid)
+        wf = make_min_critical_wave(MIN_CRITICAL_BETA0, nx, ny, c=0.3)
         for actual, expected in zip(
-            (wf.u, wf.v), min_critical_wave_on_mesh(MIN_CRITICAL_BETA0, 0.3, grid)
+            (wf.u, wf.v), min_critical_wave_on_mesh(MIN_CRITICAL_BETA0, 0.3, wf.grid)
         ):
             _same_bits(actual, expected)
 
     @pytest.mark.parametrize("nx, ny", GRID_SHAPES)
     def test_kolmogorov_perturbed(self, nx, ny):
-        grid = kolmogorov_grid(nx, ny)
-        wf = make_kolmogorov_perturbed(0.13, grid)
-        for actual, expected in zip((wf.u, wf.v), kolmogorov_perturbed_on_mesh(0.13, grid)):
+        wf = make_kolmogorov_perturbed(0.13, nx, ny)
+        for actual, expected in zip((wf.u, wf.v), kolmogorov_perturbed_on_mesh(0.13, wf.grid)):
             _same_bits(actual, expected)
 
     @pytest.mark.parametrize("nx, ny", GRID_SHAPES)
     def test_grs_vortex(self, nx, ny):
-        grid = Grid2D(nx, ny, ChannelGeometry(4.0, -2.0, 2.0))
         p = GrsParams(a=2.2, b=0.95, k=3.1)
-        wf = make_grs_vortex(p, grid, 1.5)
-        for actual, expected in zip((wf.u, wf.v), grs_vortex_on_mesh(p, grid, 1.5)):
+        wf = make_grs_vortex(p, nx, ny, 4.0, 2.0, 1.5)
+        for actual, expected in zip((wf.u, wf.v), grs_vortex_on_mesh(p, wf.grid, 1.5)):
             _same_bits(actual, expected)
 
 
-class TestGeometryGuards:
-    def test_inflection_needs_standard_channel(self):
-        bad = Grid2D(64, 65, ChannelGeometry(2 * math.pi, -2.0, 2.0))
-        with pytest.raises(DomainError):
-            make_inflection_wave(Example31Params(), bad)
-
-    def test_kolmogorov_needs_its_period(self):
-        bad = Grid2D(64, 65, ChannelGeometry(2 * math.pi, -math.pi, math.pi))
-        with pytest.raises(DomainError):
-            make_kolmogorov_perturbed(0.1, bad)
-
-    def test_grs_needs_centered_band(self):
-        bad = Grid2D(64, 65, ChannelGeometry(4.0, 0.0, 4.0))
-        with pytest.raises(DomainError):
-            make_grs_vortex(GrsParams(), bad, 1.0)
+@pytest.mark.parametrize(
+    "make, geometry",
+    [
+        (lambda: make_inflection_wave(Example31Params(), 16, 9), (2 * math.pi, -1.0, 1.0)),
+        (lambda: make_min_critical_wave(MIN_CRITICAL_BETA0, 16, 9), (2 * math.pi, -1.0, 1.0)),
+        (lambda: make_kolmogorov_perturbed(0.1, 16, 9), (KOLMOGOROV_PERIOD, -math.pi, math.pi)),
+        (lambda: make_grs_vortex(GrsParams(), 16, 9, 6.0, 3.0, 1.5), (6.0, -3.0, 3.0)),
+    ],
+    ids=["ex31", "ex32", "ex33", "grs"],
+)
+def test_each_example_builds_its_channel(make, geometry):
+    assert make().grid == Grid2D(16, 9, ChannelGeometry(*geometry))
 
 
 class TestBoundaryAndResiduals:
     def test_boundary_v_machine_zero(self):
         fields = [
-            make_inflection_wave(Example31Params(beta=1.0), channel_grid()),
-            make_min_critical_wave(MIN_CRITICAL_BETA0, 0.0, channel_grid()),
-            make_kolmogorov_perturbed(0.1, kolmogorov_grid()),
+            make_inflection_wave(Example31Params(beta=1.0), 128, 129),
+            make_min_critical_wave(MIN_CRITICAL_BETA0, 128, 129),
+            make_kolmogorov_perturbed(0.1, 128, 129),
         ]
         for wf in fields:
             assert diagnostics(wf).boundary_v_inf < 1e-14
@@ -171,14 +156,14 @@ class TestBoundaryAndResiduals:
     @pytest.mark.parametrize(
         "maker",
         [
-            lambda g: make_inflection_wave(Example31Params(beta=1.0), g),
-            lambda g: make_min_critical_wave(MIN_CRITICAL_BETA0, 0.0, g),
+            lambda nx, ny: make_inflection_wave(Example31Params(beta=1.0), nx, ny),
+            lambda nx, ny: make_min_critical_wave(MIN_CRITICAL_BETA0, nx, ny),
         ],
     )
     def test_channel_examples_residual_order(self, maker):
         errs = []
         for nx in (64, 128, 256):
-            errs.append(diagnostics(maker(channel_grid(nx, nx + 1))).residual_inf)
+            errs.append(diagnostics(maker(nx, nx + 1)).residual_inf)
         orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
         assert min(orders) >= 1.9
 
@@ -186,13 +171,13 @@ class TestBoundaryAndResiduals:
         errs = []
         for nx in (64, 128, 256):
             errs.append(
-                diagnostics(make_kolmogorov_perturbed(0.1, kolmogorov_grid(nx, nx + 1))).residual_inf
+                diagnostics(make_kolmogorov_perturbed(0.1, nx, nx + 1)).residual_inf
             )
         orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
         assert min(orders) >= 1.9
 
     def test_unperturbed_kolmogorov_is_shear(self):
-        wf = make_kolmogorov_perturbed(0.0, kolmogorov_grid(64, 65))
+        wf = make_kolmogorov_perturbed(0.0, 64, 65)
         assert np.all(wf.v == 0.0)
 
 
@@ -203,9 +188,8 @@ class TestInflectionIdentity:
         p = Example31Params(n=1, k=1, A=1.0, beta=1.0)
         errs = []
         for nx in (64, 128, 256):
-            grid = channel_grid(nx, nx + 1)
-            wf = make_inflection_wave(p, grid)
-            lap_u = laplacian(wf.u, grid)
+            wf = make_inflection_wave(p, nx, nx + 1)
+            lap_u = laplacian(wf.u, wf.grid)
             mask = np.abs(wf.u - wf.c) > 0.5
             ratio = (wf.beta - lap_u[mask]) / (wf.u[mask] - wf.c)
             errs.append(np.max(np.abs(ratio + p.lam)))
@@ -217,9 +201,8 @@ class TestInflectionIdentity:
         # the identity also holds down to |u - c| > 0.1, with the error
         # amplified by the small denominator
         p = Example31Params(n=1, k=1, A=1.0, beta=1.0)
-        grid = channel_grid(256, 257)
-        wf = make_inflection_wave(p, grid)
-        lap_u = laplacian(wf.u, grid)
+        wf = make_inflection_wave(p, 256, 257)
+        lap_u = laplacian(wf.u, wf.grid)
         mask = np.abs(wf.u - wf.c) > 0.1
         ratio = (wf.beta - lap_u[mask]) / (wf.u[mask] - wf.c)
         assert np.max(np.abs(ratio + p.lam)) < 0.1
@@ -228,28 +211,27 @@ class TestInflectionIdentity:
 class TestMinCriticalRange:
     def test_velocity_range_formula(self):
         beta, c = MIN_CRITICAL_BETA0, 0.25
-        wf = make_min_critical_wave(beta, c, channel_grid(256, 129))
+        wf = make_min_critical_wave(beta, 256, 129, c=c)
         shift = beta / (math.pi**2 / 4.0 + 1.0)
         assert float(wf.u.min()) == pytest.approx(c + shift - math.pi / 2.0, abs=1e-12)
         assert float(wf.u.max()) == pytest.approx(c + shift + math.pi / 2.0, abs=1e-12)
 
     def test_u_min_equals_c_at_beta0(self):
-        wf = make_min_critical_wave(MIN_CRITICAL_BETA0, 0.0, channel_grid(256, 129))
+        wf = make_min_critical_wave(MIN_CRITICAL_BETA0, 256, 129)
         assert float(wf.u.min()) == pytest.approx(0.0, abs=1e-12)
 
     def test_stagnation_point_gradient(self):
-        grid = channel_grid(256, 129)
-        wf = make_min_critical_wave(MIN_CRITICAL_BETA0, 0.0, grid)
-        ux, uy = gradient(wf.u, grid)
-        ix = grid.nx // 2  # x = pi
+        wf = make_min_critical_wave(MIN_CRITICAL_BETA0, 256, 129)
+        ux, uy = gradient(wf.u, wf.grid)
+        ix = wf.grid.nx // 2  # x = pi
         assert abs(ux[-1, ix]) < 1e-10
         assert abs(uy[-1, ix]) < 1e-3  # one-sided boundary stencil, O(h^2)
 
 
 class TestGrsVortex:
-    def make(self, nx=128, ny=129, clip=1.5, params=None):
-        grid = Grid2D(nx, ny, ChannelGeometry(4.0, -2.0, 2.0))
-        return grid, make_grs_vortex(params or GrsParams(), grid, clip)
+    def make(self, nx=128, ny=129):
+        wf = make_grs_vortex(GrsParams(), nx, ny, 4.0, 2.0, 1.5)
+        return wf.grid, wf
 
     def test_velocity_and_laplacian_vanish_at_core(self):
         grid, wf = self.make(256, 257)
@@ -290,14 +272,12 @@ class TestGrsVortex:
         assert np.all(wf.u[outside] == 0.0) and np.all(wf.v[outside] == 0.0)
 
     def test_mu_domain_violation(self):
-        grid = Grid2D(64, 65, ChannelGeometry(8.0, -4.0, 4.0))
         with pytest.raises(DomainError):
-            make_grs_vortex(GrsParams(a=2.0, b=1.0, k=3.0), grid, clip_radius=3.0)
+            make_grs_vortex(GrsParams(a=2.0, b=1.0, k=3.0), 64, 65, 8.0, 4.0, clip_radius=3.0)
 
     def test_clip_radius_on_the_domain_boundary(self):
         # a^2 = b^2 R^k exactly: mu(R) = a is real, and so is mu at every
         # node with r < R, so the vortex is admissible
-        grid = Grid2D(64, 65, ChannelGeometry(8.0, -4.0, 4.0))
-        wf = make_grs_vortex(GrsParams(a=4.0, b=1.0, k=4.0), grid, clip_radius=2.0)
+        wf = make_grs_vortex(GrsParams(a=4.0, b=1.0, k=4.0), 64, 65, 8.0, 4.0, clip_radius=2.0)
         assert np.all(np.isfinite(wf.u)) and np.all(np.isfinite(wf.v))
         assert np.max(np.abs(wf.u)) > 0.0
