@@ -1,11 +1,11 @@
 """Command-line front end.
 
-Each subcommand handler takes the parsed arguments and returns
-(payload, text); `run` is the one place that writes.  The text is the
-default output (CSV for `curve`); `--json` writes the payload as a sorted
-JSON document with a `meta` block instead, and `-o` sends either to a file
-rather than stdout.  `example` streams the field itself, row by row, to the
-file or to stdout, and returns nothing to write.
+Each subcommand declares its flags once, on its handler (`_args`, `_band`),
+and `example` takes only the flags of the family `--name` names.  A handler
+returns (payload, text); `run` is the one place that writes: the text by
+default (CSV for `curve`), or with `--json` the payload as a sorted JSON
+document with a `meta` block, to stdout or to the `-o` file.  `example`
+streams its field itself, row by row, and returns nothing to write.
 
 Exit codes: 0 success, 1 scientific failure (domain violations, lost
 convergence, missing roots) with JSON error detail on stderr, 2 usage
@@ -53,11 +53,11 @@ from .planets import PLANETS, beta_plane_params, jupiter_band_case, saturn_polar
 from .profiles import band_extrema, parse_profile
 
 
-class _CannotWrite(Exception):
-    """An -o path that cannot be opened for writing: a usage error."""
+class _UsageError(Exception):
+    """An -o path that cannot be opened for writing, or a bad --tol."""
 
 
-_USAGE_ERRORS = (ProfileSpecError, FieldFormatError, _CannotWrite)
+_USAGE_ERRORS = (ProfileSpecError, FieldFormatError, _UsageError)
 _SCIENCE_ERRORS = (DomainError, ConvergenceError, NoRootError)
 
 
@@ -69,21 +69,60 @@ def _open_output(path):
     try:
         return open(path, "w", encoding="ascii")
     except OSError as exc:
-        raise _CannotWrite(f"cannot write {path}: {exc.strerror or exc}") from exc
+        raise _UsageError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
-def _band(args):
-    return band_extrema(parse_profile(args.profile), args.d)
+def _speed(text: str):
+    """--c: 'min' or a number; anything else is a usage error."""
+    if text == "min":
+        return text
+    try:
+        return float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected 'min' or a number, got {text!r}") from None
 
 
-def _band_payload(band, args, payload: dict) -> dict:
-    """payload plus the band's profile spec, half-width and the tolerance."""
-    payload.update(profile=band.profile.spec(), d=band.d, tol=args.tol)
-    return payload
+_NUMBER = dict(type=float, required=True)
+_PROFILE = ("--profile", dict(required=True, help="profile spec, e.g. couette or parabola:7,0"))
+_D = ("--d", dict(_NUMBER, help="band half-width"))
+_BETA = ("--beta", _NUMBER)
+_C = ("--c", dict(type=_speed, required=True, help="wave speed, or 'min' for the singular case"))
 
 
-def _cmd_eigen(args):
-    band = _band(args)
+def _args(*flags):
+    """Makes a handler a subcommand's (add_arguments, handler) pair, its
+    arguments being flags, each a (flag, keywords) pair, and --json and -o."""
+
+    def add_arguments(p, argv):
+        for flag, keywords in flags:
+            p.add_argument(flag, **keywords)
+        p.add_argument("--json", action="store_true", help="emit a JSON document")
+        p.add_argument("-o", "--output", help="write to this path instead of stdout")
+
+    return lambda handler: (add_arguments, handler)
+
+
+def _band(tol, *flags):
+    """_args(--profile, --d, *flags, --tol=tol) for cmd(band, args) on the
+    band of --profile and --d; the band's spec, d and tol join its payload."""
+
+    def step(cmd):
+        def handler(args):
+            if not (args.tol > 0 and math.isfinite(args.tol)):
+                need = "finite" if args.tol > 0 else "positive"
+                raise _UsageError(f"--tol must be {need}, got {args.tol}")
+            band = band_extrema(parse_profile(args.profile), args.d)
+            payload, text = cmd(band, args)
+            payload.update(profile=band.profile.spec(), d=band.d, tol=args.tol)
+            return payload, text
+
+        return _args(_PROFILE, _D, *flags, ("--tol", dict(type=float, default=tol)))(handler)
+
+    return step
+
+
+@_band(DEFAULT_EIGEN_TOL, _BETA, _C)
+def _eigen(band, args):
     c = band.u0_min if args.c == "min" else args.c
     res = principal_eigenvalue(band, args.beta, c, tol=args.tol)
     payload = {
@@ -98,11 +137,11 @@ def _cmd_eigen(args):
         f"lambda1 = {_fmt(res.lambda1)}  (n_used={res.n_used}, "
         f"est_error={_fmt(res.est_error)})\n"
     )
-    return _band_payload(band, args, payload), text
+    return payload, text
 
 
-def _cmd_critical_beta(args):
-    band = _band(args)
+@_band(DEFAULT_ROOT_TOL)
+def _critical_beta(band, args):
     bc = critical_beta(band, tol=args.tol)
     # check through principal_eigenvalue: lambda1 left at the returned root,
     # on the same rungs solved as lambda1 rather than as the pencil, resolved
@@ -111,11 +150,11 @@ def _cmd_critical_beta(args):
     res = principal_eigenvalue(band, bc, band.u0_min, tol=1e-6 * scale, want_vector=False)
     payload = {"beta_crit": bc, "residual_lambda1": res.lambda1}
     text = f"beta_crit = {_fmt(bc)}  (residual lambda1 {_fmt(res.lambda1)})\n"
-    return _band_payload(band, args, payload), text
+    return payload, text
 
 
-def _cmd_inf_c(args):
-    band = _band(args)
+@_band(DEFAULT_EIGEN_TOL, _BETA)
+def _inf_c(band, args):
     res = lambda_inf_over_c(band, args.beta, tol=args.tol)
     payload = {
         "inf_lambda1": res.lambda1,
@@ -127,20 +166,21 @@ def _cmd_inf_c(args):
         f"inf lambda1 = {_fmt(res.lambda1)} at c = {_fmt(res.c)} "
         f"(est_error {_fmt(res.est_error)})\n"
     )
-    return _band_payload(band, args, payload), text
+    return payload, text
 
 
-def _cmd_root_c(args):
-    band = _band(args)
+@_band(DEFAULT_ROOT_TOL, _BETA, ("--L", dict(_NUMBER, help="zonal period")))
+def _root_c(band, args):
     res = wave_speed_root(band, args.beta, args.L, tol=args.tol)
     residual = res.lambda1 + (2.0 * math.pi / args.L) ** 2
     payload = {"c_L": res.c, "residual": residual, "beta": args.beta, "L": args.L}
     text = f"c_L = {_fmt(res.c)}  (residual {_fmt(residual)})\n"
-    return _band_payload(band, args, payload), text
+    return payload, text
 
 
-def _cmd_curve(args):
-    band = _band(args)
+@_band(DEFAULT_EIGEN_TOL, ("--beta-min", _NUMBER), ("--beta-max", _NUMBER),
+       ("--n", dict(type=int, required=True)))
+def _curve(band, args):
     points = boundary_curve(band, args.beta_min, args.beta_max, args.n, tol=args.tol)
     payload = {
         "points": [
@@ -153,10 +193,14 @@ def _cmd_curve(args):
         lam = "" if p.lambda1_at_u0min is None else _fmt(p.lambda1_at_u0min)
         lc = "" if p.L_crit is None else _fmt(p.L_crit)
         lines.append(f"{_fmt(p.beta)},{lam},{lc}")
-    return _band_payload(band, args, payload), "\n".join(lines) + "\n"
+    return payload, "\n".join(lines) + "\n"
 
 
-def _cmd_classify(args):
+_FIELD = ("--field", dict(required=True, help="wave-field JSON file"))
+
+
+@_args(_FIELD, ("--eps-scale", dict(type=float, default=DEFAULT_EPS_SCALE)))
+def _classify(args):
     report = classify(read_field(args.field), eps_scale=args.eps_scale)
     cats = ", ".join(report.categories()) or "none"
     shear = [t.name for t in report.rigidity.applicable_theorems if t.conclusion == "shear flow"]
@@ -169,7 +213,8 @@ def _cmd_classify(args):
     return report.to_dict(), text
 
 
-def _cmd_verify(args):
+@_args(_FIELD)
+def _verify(args):
     wf = read_field(args.field)
     diag = diagnostics(wf)
     payload = {
@@ -185,33 +230,64 @@ def _cmd_verify(args):
     return payload, "".join(f"{k} = {_fmt(v)}\n" for k, v in payload.items())
 
 
-def _given(args, fields, dests=None):
-    """{field: value} for the fields whose flags the command line gave, the
-    flag of fields[i] having dest dests[i] (fields[i] itself by default)."""
-    given = vars(args)
-    return {f: given[dest] for f, dest in zip(fields, dests or fields) if dest in given}
+def _add_record_flags(p, record, **flags):
+    """A flag per field of record, of its default's type and with that default;
+    flags maps a field to a flag other than its own name."""
+    for field, default in record._field_defaults.items():
+        flag = flags.get(field, "--" + field.replace("_", "-"))
+        p.add_argument(flag, dest=field, type=type(default), default=default)
+
+
+def _record(record, args):
+    return record(**{field: getattr(args, field) for field in record._fields})
+
+
+_BETA_MODES = {"beta0": MIN_CRITICAL_BETA0, "2beta0": 2.0 * MIN_CRITICAL_BETA0}
+
+
+def _example_args(p, argv):
+    """--name, the grid, -o and only the flags of the family argv names.  No
+    prefix is taken: grs would read ex31's --c as its --clip-radius."""
+    p.allow_abbrev = False
+    p.add_argument("--name", required=True, choices=["ex31", "ex32", "ex33", "grs"])
+    p.add_argument("--nx", type=int, default=256)
+    p.add_argument("--ny", type=int, default=129)
+    family = None  # the one argparse reads: the last "--name F" or "--name=F"
+    for arg, following in zip(argv, [*argv[1:], None]):
+        flag, eq, value = arg.partition("=")
+        if flag == "--name":
+            family = value if eq else following
+    if family == "ex31":
+        _add_record_flags(p, Example31Params)
+    elif family == "ex32":
+        beta = p.add_mutually_exclusive_group()
+        beta.add_argument("--beta", type=float)
+        beta.add_argument("--beta-mode", choices=list(_BETA_MODES))
+        p.add_argument("--c", type=float)
+    elif family == "ex33":
+        p.add_argument("--eps", type=float, default=0.1)
+    elif family == "grs":
+        _add_record_flags(p, GrsParams, k="--k-exp")
+        p.add_argument("--clip-radius", type=float, default=1.5)
+        p.add_argument("--Lx", type=float, default=4.0)
+        p.add_argument("--d", type=float, default=2.0)
+    p.add_argument("-o", "--output", help="write the field file here instead of stdout")
 
 
 def _example_field(args):
     nx, ny = args.nx, args.ny
     if args.name == "ex31":
-        p = Example31Params(**_given(args, Example31Params._fields))
-        return make_inflection_wave(p, nx, ny)
+        return make_inflection_wave(_record(Example31Params, args), nx, ny)
     if args.name == "ex32":
-        if args.beta_mode == "beta0":
-            beta = MIN_CRITICAL_BETA0
-        elif args.beta_mode == "2beta0":
-            beta = 2.0 * MIN_CRITICAL_BETA0
-        elif hasattr(args, "beta"):
-            beta = args.beta
-        else:
+        beta = _BETA_MODES.get(args.beta_mode, args.beta)
+        if beta is None:
             raise ProfileSpecError("ex32 needs --beta-mode beta0|2beta0 or an explicit --beta")
-        return make_min_critical_wave(beta, nx, ny, **_given(args, ("c",)))
+        c = {} if args.c is None else {"c": args.c}  # else the maker's own default
+        return make_min_critical_wave(beta, nx, ny, **c)
     if args.name == "ex33":
         return make_kolmogorov_perturbed(args.eps, nx, ny)
     # grs: argparse limits --name to the four examples
-    p = GrsParams(**_given(args, GrsParams._fields, ("a", "b", "k_exp")))
-    return make_grs_vortex(p, nx, ny, args.Lx, args.d, args.clip_radius)
+    return make_grs_vortex(_record(GrsParams, args), nx, ny, args.Lx, args.d, args.clip_radius)
 
 
 def _cmd_example(args):
@@ -224,7 +300,10 @@ def _cmd_example(args):
     return None  # the field is streamed; nothing left to emit
 
 
-def _cmd_planet(args):
+@_args(("--case", dict(choices=["jupiter-band", "saturn-polar"])),
+       ("--name", dict(choices=sorted(PLANETS))),
+       ("--theta0", dict(type=float, help="reference latitude in degrees")))
+def _planet(args):
     if args.case is not None and (args.name is not None or args.theta0 is not None):
         raise ProfileSpecError("planet takes --case, or --name and --theta0, not both")
     if args.case == "jupiter-band":
@@ -240,118 +319,17 @@ def _cmd_planet(args):
     return payload, json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _add_output_flags(p):
-    p.add_argument("--json", action="store_true", help="emit a JSON document")
-    p.add_argument("-o", "--output", help="write to this path instead of stdout")
-
-
-def _add_band_flags(p):
-    p.add_argument("--profile", required=True, help="profile spec, e.g. couette or parabola:7,0")
-    p.add_argument("--d", type=float, required=True, help="band half-width")
-
-
-def _speed(text: str):
-    """--c: 'min' or a number; anything else is a usage error."""
-    if text == "min":
-        return text
-    try:
-        return float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected 'min' or a number, got {text!r}") from None
-
-
-def _eigen_args(p):
-    _add_band_flags(p)
-    p.add_argument("--beta", type=float, required=True)
-    p.add_argument(
-        "--c", type=_speed, required=True, help="wave speed, or 'min' for the singular case"
-    )
-    p.add_argument("--tol", type=float, default=DEFAULT_EIGEN_TOL)
-    _add_output_flags(p)
-
-
-def _critical_beta_args(p):
-    _add_band_flags(p)
-    p.add_argument("--tol", type=float, default=DEFAULT_ROOT_TOL)
-    _add_output_flags(p)
-
-
-def _inf_c_args(p):
-    _add_band_flags(p)
-    p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--tol", type=float, default=DEFAULT_EIGEN_TOL)
-    _add_output_flags(p)
-
-
-def _root_c_args(p):
-    _add_band_flags(p)
-    p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--L", type=float, required=True, help="zonal period")
-    p.add_argument("--tol", type=float, default=DEFAULT_ROOT_TOL)
-    _add_output_flags(p)
-
-
-def _curve_args(p):
-    _add_band_flags(p)
-    p.add_argument("--beta-min", type=float, required=True)
-    p.add_argument("--beta-max", type=float, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--tol", type=float, default=DEFAULT_EIGEN_TOL)
-    _add_output_flags(p)
-
-
-def _classify_args(p):
-    p.add_argument("--field", required=True, help="wave-field JSON file")
-    p.add_argument("--eps-scale", type=float, default=DEFAULT_EPS_SCALE)
-    _add_output_flags(p)
-
-
-def _verify_args(p):
-    p.add_argument("--field", required=True, help="wave-field JSON file")
-    _add_output_flags(p)
-
-
-def _example_args(p):
-    p.add_argument("--name", required=True, choices=["ex31", "ex32", "ex33", "grs"])
-    p.add_argument("--nx", type=int, default=256)
-    p.add_argument("--ny", type=int, default=129)
-    unset = argparse.SUPPRESS  # a field's flag not given leaves the field its default
-    p.add_argument("--beta", type=float, default=unset)
-    p.add_argument("--beta-mode", choices=["beta0", "2beta0"], default=None)
-    p.add_argument("--c", type=float, default=unset)
-    p.add_argument("--n", type=int, default=unset)
-    p.add_argument("--k", type=int, default=unset)
-    p.add_argument("--A", type=float, default=unset)
-    p.add_argument("--A-tilde", type=float, default=unset)
-    p.add_argument("--B", type=float, default=unset)
-    p.add_argument("--eps", type=float, default=0.1)
-    p.add_argument("--a", type=float, default=unset)
-    p.add_argument("--b", type=float, default=unset)
-    p.add_argument("--k-exp", type=float, default=unset)
-    p.add_argument("--clip-radius", type=float, default=1.5)
-    p.add_argument("--Lx", type=float, default=4.0)
-    p.add_argument("--d", type=float, default=2.0)
-    p.add_argument("-o", "--output", help="write the field file here instead of stdout")
-
-
-def _planet_args(p):
-    p.add_argument("--case", choices=["jupiter-band", "saturn-polar"])
-    p.add_argument("--name", choices=sorted(PLANETS))
-    p.add_argument("--theta0", type=float, help="reference latitude in degrees")
-    _add_output_flags(p)
-
-
-# subcommand -> (help, function that adds its arguments, handler), in help order
+# subcommand -> (help, function that adds its arguments given argv, handler), in help order
 _SUBCOMMANDS = {
-    "eigen": ("principal eigenvalue at (beta, c)", _eigen_args, _cmd_eigen),
-    "critical-beta": ("transitional beta value", _critical_beta_args, _cmd_critical_beta),
-    "inf-c": ("infimum of lambda1 over wave speeds", _inf_c_args, _cmd_inf_c),
-    "root-c": ("wave speed with lambda1 = -(2 pi / L)^2", _root_c_args, _cmd_root_c),
-    "curve": ("rigidity/existence boundary curve over beta", _curve_args, _cmd_curve),
-    "classify": ("classify the wave speed of a field file", _classify_args, _cmd_classify),
-    "verify": ("residuals of the governing equations for a field file", _verify_args, _cmd_verify),
+    "eigen": ("principal eigenvalue at (beta, c)", *_eigen),
+    "critical-beta": ("transitional beta value", *_critical_beta),
+    "inf-c": ("infimum of lambda1 over wave speeds", *_inf_c),
+    "root-c": ("wave speed with lambda1 = -(2 pi / L)^2", *_root_c),
+    "curve": ("rigidity/existence boundary curve over beta", *_curve),
+    "classify": ("classify the wave speed of a field file", *_classify),
+    "verify": ("residuals of the governing equations for a field file", *_verify),
     "example": ("emit a closed-form example field as JSON", _example_args, _cmd_example),
-    "planet": ("beta-plane parameters and worked cases", _planet_args, _cmd_planet),
+    "planet": ("beta-plane parameters and worked cases", *_planet),
 }
 
 
@@ -388,7 +366,7 @@ def build_parser(argv) -> argparse.ArgumentParser:
     for name, (help_text, add_arguments, _) in _SUBCOMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         if name == named:
-            add_arguments(p)
+            add_arguments(p, argv)
     return parser
 
 
@@ -436,13 +414,7 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     else:
         argv = list(argv)
-    args = build_parser(argv).parse_args(argv)
-    tol = getattr(args, "tol", None)
-    if tol is not None and not (tol > 0 and math.isfinite(tol)):
-        need = "finite" if tol > 0 else "positive"
-        sys.stderr.write(f"qgwave: --tol must be {need}, got {tol}\n")
-        return 2
-    return run(args)
+    return run(build_parser(argv).parse_args(argv))
 
 
 if __name__ == "__main__":

@@ -22,6 +22,7 @@ from qgwave import (
 )
 from qgwave.channel import laplacian
 from qgwave.classify import _level_mask
+from qgwave.eigen import principal_eigenvalue
 from qgwave.flows import (
     MIN_CRITICAL_BETA0,
     Example31Params,
@@ -31,6 +32,7 @@ from qgwave.flows import (
     make_kolmogorov_perturbed,
     make_min_critical_wave,
 )
+from qgwave.profiles import band_extrema, parse_profile
 
 from _oracles import level_mask, rigidity_predicates, witnesses
 
@@ -74,6 +76,21 @@ class TestSpeedBound:
     def test_monotone_decreasing_in_beta(self):
         vals = [c_beta_plus(b, -1.0, 1.0, -1.0, 1.0) for b in (0.0, 0.5, 1.0, 2.0, 4.0)]
         assert all(vals[i] > vals[i + 1] for i in range(len(vals) - 1))
+
+    @pytest.mark.parametrize(
+        "spec",
+        ["couette", "linear:2,0.5", "linear:-1.3,0.4", "parabola:7,0", "poly:0,1,0.3,0.2", "cp:0.8"],
+    )
+    def test_no_near_shear_wave_below_the_bound(self, spec):
+        # a near-shear wave travels at every c with lambda1(beta, c) < 0, and no
+        # genuine wave travels below c_beta_plus, so lambda1 >= 0 there
+        for d in (0.5, 1.0, 1.4):
+            band = band_extrema(parse_profile(spec), d)
+            assert band.monotone
+            for beta in (0.5, 2.0, 10.0, 40.0):
+                c = c_beta_plus(beta, -d, d, band.u0_min, band.u0_max)
+                res = principal_eigenvalue(band, beta, c, tol=1e-8)
+                assert res.lambda1 - res.est_error >= 0.0, (d, beta, res)
 
     def test_rejects_negative_beta(self):
         with pytest.raises(DomainError):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +14,15 @@ from qgwave.cli import main
 from qgwave.flows import MIN_CRITICAL_BETA0, Example31Params
 
 from _oracles import CLOSE_ZERO_PAIR, inflection_wave_on_mesh
+
+
+# each example family's own flags, beyond --name, --nx, --ny and -o
+EXAMPLE_FLAGS = {
+    "ex31": {"--n", "--k", "--A", "--A-tilde", "--B", "--c", "--beta"},
+    "ex32": {"--beta", "--beta-mode", "--c"},
+    "ex33": {"--eps"},
+    "grs": {"--a", "--b", "--k-exp", "--clip-radius", "--Lx", "--d"},
+}
 
 
 def _reject_constant(name):
@@ -258,6 +268,29 @@ class TestExamplePipeline:
         u, v = inflection_wave_on_mesh(p, wf.grid)
         assert np.array_equal(wf.u, u) and np.array_equal(wf.v, v)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--name", "ex31", "--a", "0.5"),
+            ("--name", "ex33", "--clip-radius", "9"),
+            ("--name", "ex31", "--eps", "0.3"),
+            ("--name", "ex32", "--beta-mode", "beta0", "--beta", "-1"),
+            ("--name", "grs", "--k", "5"),
+            ("--name", "grs", "--c", "0.5"),
+            ("--name", "ex31", "--b", "0.5"),
+        ],
+        ids=lambda argv: " ".join(argv[1:]),
+    )
+    def test_another_familys_flag_exits_2(self, capsys, tmp_path, argv):
+        # --k, --c and --b are no prefixes of grs's --k-exp and --clip-radius or ex31's --beta
+        path = tmp_path / "f.json"
+        with pytest.raises(SystemExit) as err:
+            main(["example", *argv, "--nx", "16", "--ny", "11", "-o", str(path)])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "error: " in captured.err
+        assert not path.exists()
+
     def test_grs_channel_from_flags(self, capsys, tmp_path):
         path = tmp_path / "grs.json"
         argv = ("--name", "grs", "--Lx", "6", "--d", "3", "--nx", "16", "--ny", "11")
@@ -439,6 +472,16 @@ class TestUsage:
         out = capsys.readouterr().out
         assert out.split()[:3] == ["usage:", "qgwave", subcommand]
         assert "--output" in out
+
+    @pytest.mark.parametrize("family", sorted(EXAMPLE_FLAGS))
+    def test_example_help_shows_only_its_familys_flags(self, capsys, family):
+        with pytest.raises(SystemExit) as err:
+            main(["example", "--name", family, "--help"])
+        assert err.value.code == 0
+        shown = set(re.findall(r"--[\w-]+", capsys.readouterr().out))
+        others = set().union(*EXAMPLE_FLAGS.values()) - EXAMPLE_FLAGS[family]
+        assert EXAMPLE_FLAGS[family] <= shown
+        assert not others & shown
 
     def test_handler_key_error_propagates(self, monkeypatch):
         def broken(config):

@@ -71,6 +71,9 @@ MATRIX = {
     "singular-error": ("eigen", "--profile", CLOSE_ZERO_PAIR, "--d", "1", "--beta", "2", "--c", "min"),
     "usage-error": ("eigen", "--nope"),
     "help": ("root-c", "--help"),
+    # the process entry reads the family from sys.argv just as main(argv) does
+    "example-foreign-flag": ("example", "--name", "ex31", "--a", "0.5"),
+    "example-name-equals": ("example", "--name=grs", "--a", "2.1", "--nx", "16", "--ny", "9"),
 }
 
 
