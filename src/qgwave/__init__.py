@@ -10,11 +10,30 @@ imports its submodule on first access (PEP 562).  No import loads scipy:
 the eigen solvers load only scipy's LAPACK extension, on their first solve,
 so the field commands of `qgwave.cli` load no scipy module and the spectral
 ones load just that one.
+
+`import qgwave` sets OPENBLAS_NUM_THREADS to 1 unless the caller already set
+it, so numpy's OpenBLAS and, on the first solve, scipy's run on the calling
+thread and start no worker threads.  The setting is process-wide: the
+caller's own numpy and scipy work in the same process (matmul, solve) also
+gets one BLAS thread, and child processes inherit it.  A caller's value wins,
+so code that wants threaded BLAS sets OPENBLAS_NUM_THREADS before it imports
+qgwave; a numpy imported before qgwave keeps the thread pool it started then.
 """
 
+import os as _os
 from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
+
+# qgwave's only BLAS calls are level-1: the eigen rung's dot products and those
+# inside LAPACK's dstein, on vectors short enough that a second thread saves well
+# under a millisecond per rung.  Yet each OpenBLAS worker spins on a core while it
+# waits for work, and a threaded dot product sums in an order set by the core
+# count, so the last bits of deep ladders would depend on the machine.  Each
+# OpenBLAS copy reads the variable once, when it loads: numpy's in the import
+# below, scipy's in eigen._lapack().
+_os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+del _os
 
 # The function shares its name with its submodule.  Once `qgwave.classify` is
 # imported, the import system sets that package attribute to the module and

@@ -24,14 +24,16 @@ SRC = str(Path(qgwave.__file__).resolve().parent.parent)
 SCRIPT = "import sys; from qgwave.cli import main; sys.exit(main())"
 
 
-def _env():
+def _env(**overrides):
+    """This environment with this qgwave on the path; an override of None unsets a variable."""
     paths = [SRC, os.environ.get("PYTHONPATH", "")]
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p), **overrides)
+    return {name: value for name, value in env.items() if value is not None}
 
 
-def run_process(argv, cwd, entry=("-m", "qgwave.cli")):
+def run_process(argv, cwd, entry=("-m", "qgwave.cli"), **env):
     proc = subprocess.run(
-        [sys.executable, *entry, *argv], cwd=cwd, env=_env(), capture_output=True, timeout=120
+        [sys.executable, *entry, *argv], cwd=cwd, env=_env(**env), capture_output=True, timeout=120
     )
     return proc.returncode, proc.stdout.decode("ascii"), proc.stderr.decode("ascii")
 
@@ -81,6 +83,14 @@ MATRIX = {
 def test_process_matches_in_process(capsys, monkeypatch, field_dir, argv):
     monkeypatch.chdir(field_dir)
     assert run_process(argv, field_dir) == run_in_process(argv, capsys)
+
+
+def test_stdout_does_not_depend_on_the_blas_thread_count(tmp_path):
+    # a ladder to N = 2**15, whose dot products OpenBLAS would split across threads
+    argv = ["eigen", *BAND, "--beta", "10", "--c", "-1.0001", "--tol", "1e-6", "--json"]
+    default = run_process(argv, tmp_path, OPENBLAS_NUM_THREADS=None)
+    assert default[0] == 0
+    assert default == run_process(argv, tmp_path, OPENBLAS_NUM_THREADS="1")
 
 
 def test_singular_request_on_a_nonmonotone_band_is_one_json_error(capsys):

@@ -23,13 +23,15 @@ def test_every_public_name_resolves():
 _LOADED_SCIPY = "sorted(m for m in sys.modules if m.startswith('scipy'))"
 
 
-def _fresh_python(code, cwd=None):
-    """Run code in a fresh interpreter that imports this qgwave; return its stdout."""
+def _fresh_python(code, cwd=None, **env):
+    """Run code in a fresh interpreter that imports this qgwave; return its stdout.
+    Keyword arguments set environment variables, and None unsets one."""
     src = os.path.dirname(os.path.dirname(qgwave.__file__))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = {**os.environ, "PYTHONPATH": path, **env}
     out = subprocess.run(
         [sys.executable, "-c", code],
-        env={**os.environ, "PYTHONPATH": path},
+        env={name: value for name, value in env.items() if value is not None},
         cwd=cwd,
         capture_output=True,
         text=True,
@@ -50,6 +52,26 @@ def test_cli_import_loads_no_scipy():
 def test_cli_import_loads_no_dataclasses():
     code = "import sys, qgwave.cli; print('dataclasses' in sys.modules)"
     assert _fresh_python(code).strip() == "False"
+
+
+# this process may have set the first when it imported qgwave
+_NO_BLAS_THREADS = dict.fromkeys(["OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"])
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+def test_solve_runs_on_one_thread():
+    code = """
+import os
+from qgwave import band_extrema, couette, principal_eigenvalue
+principal_eigenvalue(band_extrema(couette(), 1.0), 2.0, -1.0)
+print(len(os.listdir("/proc/self/task")))
+"""
+    assert _fresh_python(code, **_NO_BLAS_THREADS).strip() == "1"
+
+
+def test_callers_blas_thread_count_wins():
+    code = "import os, qgwave; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    assert _fresh_python(code, OPENBLAS_NUM_THREADS="3").strip() == "3"
 
 
 def test_rigidity_bound_lives_with_the_profiles():

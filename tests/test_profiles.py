@@ -225,6 +225,20 @@ class TestBandExtrema:
         want = sorted(math.cos(k * math.pi / n) for k in range(1, n))
         assert np.max(np.abs(np.subtract(flat, want))) <= 1e-15
 
+    def test_chebyshev_25_zeros_are_bracketed_by_their_float_neighbours(self):
+        # cos(k pi / 25) is itself up to 11 ulp off near pi/2, so the check is exact
+        # instead: p changes sign between the floats on either side of each zero
+        coeffs = np.polynomial.chebyshev.cheb2poly([0] * 25 + [1])  # integers below 2**53
+        exact = [Fraction(c) for c in coeffs]
+        flat, inflect = Polynomial(coeffs).stationary_points(1.0)
+        for m, zeros, count in [(1, flat, 24), (3, inflect, 22)]:
+            p = np.polynomial.polynomial.polyder(np.array(exact, dtype=object), m)
+            assert len(zeros) == count and zeros == sorted(zeros)
+            for y in zeros:
+                below, above = (np.polynomial.polynomial.polyval(Fraction(math.nextafter(y, t)), p)
+                                for t in (-1.0, 1.0))
+                assert below * above < 0, (m, y)
+
     @pytest.mark.parametrize("seed", range(20))
     def test_planted_zeros_decide_orientation(self, seed):
         # u0' is a product of planted factors, so each verdict follows from its construction
