@@ -90,10 +90,6 @@ class Grid2D(_Grid):
     def y(self) -> np.ndarray:
         return self.geometry.d_minus + self.hy * np.arange(self.ny)
 
-    def mesh(self):
-        """Return (X, Y) coordinate arrays of shape (ny, nx)."""
-        return np.meshgrid(self.x, self.y)
-
     @property
     def shape(self):
         return (self.ny, self.nx)

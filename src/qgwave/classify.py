@@ -107,9 +107,6 @@ class RigidityVerdict(NamedTuple):
 
     applicable_theorems: tuple
 
-    def shear_concluded(self) -> bool:
-        return any(t.conclusion == "shear flow" for t in self.applicable_theorems)
-
     def to_dict(self) -> dict:
         """Nested records as dicts, so the JSON document holds objects, not arrays."""
         return {

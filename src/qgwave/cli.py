@@ -315,7 +315,7 @@ def _planet(args):
             raise ProfileSpecError("planet needs --case, or both --name and --theta0")
         planet = PLANETS[args.name]
         f0, beta = beta_plane_params(planet, args.theta0)
-        payload = {"planet": planet.to_dict(), "theta0_deg": args.theta0, "f0": f0, "beta": beta}
+        payload = {"planet": planet._asdict(), "theta0_deg": args.theta0, "f0": f0, "beta": beta}
     return payload, json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 

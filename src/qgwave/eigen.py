@@ -52,7 +52,6 @@ from .errors import (
     ConvergenceError,
     DomainError,
     NoRootError,
-    QgwaveError,
     UnsupportedSingularityError,
 )
 from .profiles import ProfileOnBand
@@ -165,10 +164,9 @@ def _ground_vector(diag, off):
     """Ground-state eigenvector of the symmetric tridiagonal matrix (diag, off).
 
     dstebz and dstein with scipy.linalg.eigh_tridiagonal(select="i")'s
-    arguments and checks, so bit-identical to it; one node is its own vector.
+    arguments, so bit-identical to it on a finite matrix; one node is its own
+    vector.
     """
-    diag = np.asarray_chkfinite(diag)
-    off = np.asarray_chkfinite(off)
     if len(diag) == 1:
         return np.ones(1)
     lapack = _lapack()
@@ -192,12 +190,19 @@ def _rung(coeffs, d, n):
     coeffs(y) gives (s, sv) at the interior nodes (module docstring).  The
     eigenvalue is phi's stable Rayleigh quotient with potential sv/s and
     weight 1/s; phi is sign-normalized positive and L2-normalized by the
-    trapezoid rule.
+    trapezoid rule.  A matrix entry that is not finite (h^2 underflows, or
+    the potential overflows) raises DomainError.
     """
     h, y = _nodes(d, n)
-    s, sv = coeffs(y)
-    root_s = np.sqrt(s)
-    vec = root_s * _ground_vector(2.0 * s / (h * h) + sv, -(root_s[:-1] * root_s[1:]) / (h * h))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        s, sv = coeffs(y)
+        root_s = np.sqrt(s)
+        diag = 2.0 * s / (h * h) + sv
+        off = -(root_s[:-1] * root_s[1:]) / (h * h)
+    if not (np.isfinite(diag).all() and np.isfinite(off).all()):
+        raise DomainError(f"the rung matrix on N={n} intervals of the band of half-width "
+                          f"d={d} is not finite: h^2 underflows or a coefficient overflows")
+    vec = root_s * _ground_vector(diag, off)
     lam = _rayleigh_quotient(vec, sv / s, h, 1.0 / s)
     if vec[int(np.argmax(np.abs(vec)))] < 0:
         vec = -vec
@@ -209,8 +214,11 @@ def _ladder(rung, tol, n_start):
     """Refine rung(n) -> (eigenvalue, vector) from n_start by N -> 2N until |E(2N) - E(N)| < tol.
 
     Returns (E, |E(2N) - E(N)|, final N, final vector, (N, eigenvalue) history);
-    raises ConvergenceError once N would pass _N_MAX.
+    raises DomainError for tol <= 0, before any rung, and ConvergenceError
+    once N would pass _N_MAX.
     """
+    if not (tol > 0):
+        raise DomainError(f"tolerance must be positive, got {tol}")
     n = n_start
     lam_prev, vec = rung(n)
     history = [(n, lam_prev)]
@@ -245,14 +253,12 @@ def principal_eigenvalue(
 ) -> EigenResult:
     """Solve for the principal eigenvalue at (beta, c), refined to tol.
 
-    Raises DomainError for c > u0_min, UnsupportedSingularityError for a
-    singular request on a non-monotone band, and ConvergenceError (carrying
+    Raises DomainError for c > u0_min or tol <= 0, UnsupportedSingularityError
+    for a singular request on a non-monotone band, and ConvergenceError (carrying
     the last two iterates) if the ladder passes N = _N_MAX without
     |E(2N) - E(N)| < tol; its message gives the final N, the last raw ratio
     of rung differences and the last |E(2N) - E(N)|.
     """
-    if not (tol > 0):
-        raise DomainError(f"tolerance must be positive, got {tol}")
     u = _oriented_profile(band, beta, c)
 
     def coeffs(y):
@@ -291,12 +297,9 @@ def critical_beta(band: ProfileOnBand, tol: float = DEFAULT_ROOT_TOL) -> float:
     One ladder of the symmetrized pencil's smallest eigenvalue (module
     docstring), refined to |E(2N) - E(N)| < tol in beta units.  By
     Sylvester's law of inertia it is <= 0 exactly when lambda1(0, u0_min) <= 0,
-    which raises ConvergenceError.
+    which raises ConvergenceError.  A band that is not monotone raises
+    UnsupportedSingularityError from _oriented_profile, before any rung.
     """
-    if not band.monotone:
-        raise DomainError("critical_beta needs a monotone profile on the band")
-    if not (tol > 0):
-        raise DomainError(f"tolerance must be positive, got {tol}")
     u = _oriented_profile(band, 0.0, band.u0_min)
 
     def coeffs(y):
@@ -341,8 +344,6 @@ def lambda_inf_over_c(band: ProfileOnBand, beta: float, tol: float = DEFAULT_EIG
     and the lowest one is returned: lambda1 is the infimum and c one
     minimizer, with no uniqueness claim.
     """
-    if not band.monotone:
-        raise DomainError("lambda_inf_over_c needs a monotone profile on the band")
     if not (tol > 0):
         raise DomainError(f"tolerance must be positive, got {tol}")
 
@@ -394,14 +395,17 @@ def wave_speed_root(band: ProfileOnBand, beta: float, L: float, tol: float = DEF
     the one with |f| <= 0.75 tol is returned.  A bisection that lands on an
     end, because no float lies between them, raises ConvergenceError.
     """
-    if not band.monotone:
-        raise DomainError("wave_speed_root needs a monotone profile on the band")
     if not (L > 0 and math.isfinite(L)):
         raise DomainError(f"zonal period must be positive and finite, got {L}")
     if not (tol > 0):
         raise DomainError(f"tolerance must be positive, got {tol}")
+    try:
+        target = -((2.0 * math.pi / L) ** 2)
+    except OverflowError:
+        target = -math.inf
+    if target == -math.inf:
+        raise DomainError(f"zonal period L={L} is so small that (2 pi / L)^2 overflows")
 
-    target = -((2.0 * math.pi / L) ** 2)
     res = principal_eigenvalue(band, beta, band.u0_min, tol=tol / 4.0)
     f = res.lambda1 - target
     if f >= 0.0:
@@ -441,7 +445,8 @@ class CurvePoint(NamedTuple):
     L_crit = 2 pi / sqrt(-lambda1) is the critical zonal period separating
     rigidity (shorter channels) from existence of nearby genuine waves
     (longer channels); it is None (infinite) while lambda1 >= 0.  error
-    carries a per-point solver failure without aborting the sweep.
+    carries the message of a ladder that did not converge at this beta,
+    without aborting the sweep.
     """
 
     beta: float
@@ -459,8 +464,9 @@ def boundary_curve(
 ) -> list:
     """Sample (beta, lambda1(beta, u0_min), L_crit) on n evenly spaced betas.
 
-    Points are returned ordered by beta; solver failures flag their point and
-    the sweep continues.
+    Points are returned ordered by beta.  A ladder that does not converge
+    flags its point and the sweep continues; every other error, such as a
+    band that is not monotone or tol <= 0, raises from the first point.
     """
     if not (beta_min < beta_max and math.isfinite(beta_min) and math.isfinite(beta_max)):
         raise DomainError(f"need finite beta_min < beta_max, got [{beta_min}, {beta_max}]")
@@ -472,7 +478,7 @@ def boundary_curve(
             lam = principal_eigenvalue(
                 band, beta_val, band.u0_min, tol=tol, want_vector=False
             ).lambda1
-        except QgwaveError as exc:  # per-point flagging, sweep continues
+        except ConvergenceError as exc:  # per-point flagging, sweep continues
             return CurvePoint(float(beta_val), None, None, error=str(exc))
         L_crit = 2.0 * math.pi / math.sqrt(-lam) if lam < 0 else None
         return CurvePoint(float(beta_val), lam, L_crit)

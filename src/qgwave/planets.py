@@ -34,9 +34,6 @@ class PlanetData(_Planet):
             raise DomainError("planet parameters must all be positive")
         return self
 
-    def to_dict(self) -> dict:
-        return self._asdict()
-
 
 JUPITER = PlanetData("jupiter", 69911e3, 1.76e-4, 150.0)
 SATURN = PlanetData("saturn", 58232e3, 1.62e-4, 150.0)
@@ -85,7 +82,7 @@ def jupiter_band_case() -> dict:
     beta_crit_expected = 1004.0
     return {
         "case": "jupiter-band",
-        "planet": JUPITER.to_dict(),
+        "planet": JUPITER._asdict(),
         "theta0_deg": 38.0,
         "band_degrees": 2.0,
         "half_width": d,
@@ -127,7 +124,7 @@ def saturn_polar_case() -> dict:
     curvature_expected = 175.0
     return {
         "case": "saturn-polar",
-        "planet": SATURN.to_dict(),
+        "planet": SATURN._asdict(),
         "theta0_deg": 68.5,
         "band_degrees": 5.0,
         "half_width": d,

@@ -176,10 +176,6 @@ class Bickley(ShearProfile):
         return "bickley"
 
 
-#: |y| where u0'' of the Bickley jet changes sign: ln(2 + sqrt(3)) / 2.
-BICKLEY_INFLECTION = 0.5 * math.log(2.0 + math.sqrt(3.0))
-
-
 class Kolmogorov(ShearProfile):
     """u0(y) = sin(y)."""
 

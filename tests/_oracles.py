@@ -18,13 +18,26 @@
 * `lambda1_reference` collocates lambda1(beta, c) the same way;
   `principal_eigenvalue` must agree within its est_error wherever the
   reference converges.
+* `near_shear_wave` builds the O(eps) traveling wave u0 + eps*(perturbation)
+  from `wave_speed_root`'s eigenvector at c_L, so that the field half
+  (`diagnostics`, `classify`) checks the eigen half.
 """
 
 import math
 
 import numpy as np
 
-from qgwave import DomainError, LinearProfile, Polynomial, band_extrema, principal_eigenvalue
+from qgwave import (
+    ChannelGeometry,
+    DomainError,
+    Grid2D,
+    LinearProfile,
+    Polynomial,
+    WaveField,
+    band_extrema,
+    principal_eigenvalue,
+    wave_speed_root,
+)
 from qgwave.channel import gradient, laplacian
 from qgwave.classify import (
     _MAX_WITNESSES,
@@ -346,3 +359,32 @@ def lambda1_reference(band, beta, c, n=48):
     2n intervals differ by more than 1e-10 * max(1, |lambda|).
     """
     return _converged(band, n, lambda u0, u0pp: (np.ones_like(u0), -(beta - u0pp) / (u0 - c)), 1.0)
+
+
+def near_shear_waves(band, beta, L, nx):
+    """make(eps, dc) -> the near-shear wave of wavelength L at speed c_L + dc.
+
+    psi = Psi0(y) + eps * phi(y) * sin(kx), k = 2 pi / L, where phi is the
+    eigenvector of wave_speed_root at c_L, with lambda1(beta, c_L) = -k^2:
+    u = u0(y) - eps * phi'(y) * sin(kx) and v = eps * k * phi(y) * cos(kx),
+    on the ladder's final grid in y (phi' by np.gradient).  The governing
+    equation's O(eps) term vanishes exactly when phi solves the eigenproblem
+    at the field's c, so at dc = 0 the residual is O(eps^2) plus the
+    discretization error, and at dc != 0 it keeps an O(eps * dc) part.
+    """
+    res = wave_speed_root(band, beta, L, tol=1e-10)
+    phi = np.concatenate(([0.0], res.eigvec, [0.0]))  # the wall zeros
+    if band.orientation == "decreasing":  # the solve ran on the reflected band
+        phi = phi[::-1]
+    grid = Grid2D(nx, res.n_used + 2, ChannelGeometry(L, -band.d, band.d))
+    k = 2.0 * math.pi / L
+    u0 = band.profile.eval(grid.y)[0]
+    dphi = np.gradient(phi, grid.hy)
+    sin_kx, cos_kx = np.sin(k * grid.x), np.cos(k * grid.x)
+
+    def make(eps, dc=0.0):
+        u = u0[:, None] - eps * dphi[:, None] * sin_kx
+        v = eps * k * phi[:, None] * cos_kx
+        return WaveField(grid, u, v, res.c + dc, beta)
+
+    return make

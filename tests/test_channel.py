@@ -80,14 +80,14 @@ class TestGradient:
 
     def test_linear_in_y_exact(self):
         grid = std_grid()
-        _, Y = grid.mesh()
+        _, Y = np.meshgrid(grid.x, grid.y)
         fx, fy = gradient(Y, grid)
         assert np.max(np.abs(fy - 1.0)) < 1e-12
         assert np.max(np.abs(fx)) < 1e-12
 
     def test_quadratic_in_y_exact(self):
         grid = std_grid()
-        _, Y = grid.mesh()
+        _, Y = np.meshgrid(grid.x, grid.y)
         _, fy = gradient(Y**2, grid)
         assert np.max(np.abs(fy - 2.0 * Y)) < 1e-10
 
@@ -97,7 +97,7 @@ class TestGradient:
         errs = []
         for nx in (64, 128):
             grid = std_grid(nx=nx)
-            X, _ = grid.mesh()
+            X, _ = np.meshgrid(grid.x, grid.y)
             k = 2 * math.pi / grid.geometry.L
             fx, _ = gradient(np.sin(k * X), grid)
             errs.append(np.max(np.abs(fx - k * np.cos(k * X))))
@@ -127,7 +127,7 @@ class TestLaplacian:
 
     def test_quadratic_in_y_exact(self):
         grid = std_grid()
-        _, Y = grid.mesh()
+        _, Y = np.meshgrid(grid.x, grid.y)
         lap = laplacian(Y**2 - 0.5 * Y, grid)
         assert np.max(np.abs(lap - 2.0)) < 1e-10
 
@@ -136,7 +136,7 @@ class TestLaplacian:
         errs = []
         for ny in (65, 129, 257, 513):
             grid = Grid2D(16, ny, ChannelGeometry(2 * math.pi, -math.pi, math.pi))
-            _, Y = grid.mesh()
+            _, Y = np.meshgrid(grid.x, grid.y)
             lap = laplacian(np.cos(Y), grid)
             errs.append(np.max(np.abs(lap + np.cos(Y))[1:-1]))
         orders = [math.log2(errs[i] / errs[i + 1]) for i in range(3)]
@@ -166,7 +166,7 @@ class TestLaplacian:
 class TestDiagnostics:
     def test_pure_shear_residual_exactly_zero(self):
         grid = std_grid()
-        _, Y = grid.mesh()
+        _, Y = np.meshgrid(grid.x, grid.y)
         u = np.sin(Y) * np.ones(grid.shape)
         wf = WaveField(grid, u, np.zeros(grid.shape), c=0.3, beta=1.0)
         diag = diagnostics(wf)
@@ -207,7 +207,7 @@ class TestDiagnostics:
 class TestFieldIO:
     def make_field(self):
         grid = std_grid(nx=8, ny=9)
-        X, Y = grid.mesh()
+        X, Y = np.meshgrid(grid.x, grid.y)
         return WaveField(grid, np.sin(X) * Y, np.cos(X) * (1 - Y**2), c=0.25, beta=1.5)
 
     def test_round_trip(self, tmp_path):
@@ -417,7 +417,7 @@ def _same_bits(a, b):
 def _small_doc():
     """A small field document whose values are short, with one -0.0."""
     grid = std_grid(nx=8, ny=9)
-    X, Y = grid.mesh()
+    X, Y = np.meshgrid(grid.x, grid.y)
     u = np.round(np.sin(X) * Y, 2)
     u[0, 0] = -0.0
     return field_to_dict(WaveField(grid, u, np.round(np.cos(X) * (1 - Y**2), 2), c=0.25, beta=1.5))

@@ -18,6 +18,7 @@ from qgwave import (
     c_beta_plus,
     classify,
     couette,
+    diagnostics,
     profile_rigidity_bound,
 )
 from qgwave.channel import laplacian
@@ -34,7 +35,7 @@ from qgwave.flows import (
 )
 from qgwave.profiles import band_extrema, parse_profile
 
-from _oracles import level_mask, rigidity_predicates, witnesses
+from _oracles import level_mask, near_shear_waves, rigidity_predicates, witnesses
 
 
 def channel_grid(nx, ny):
@@ -43,7 +44,7 @@ def channel_grid(nx, ny):
 
 def shear_field(profile, beta, grid=None, c=0.0):
     grid = grid or channel_grid(128, 65)
-    _, Y = grid.mesh()
+    _, Y = np.meshgrid(grid.x, grid.y)
     u0 = profile.eval(Y[:, 0])[0]
     u = np.repeat(u0[:, None], grid.nx, axis=1)
     return WaveField(grid, u, np.zeros(grid.shape), c, beta)
@@ -102,6 +103,30 @@ class TestSpeedBound:
         assert rep.c_beta_plus < wf.c < rep.u_min
 
 
+class TestNearShearWave:
+    """The two halves check each other: a near-shear wave built from root-c's
+    eigenvector must pass verify and classify (its residual falls like eps
+    at c_L and stalls off it)."""
+
+    @pytest.mark.parametrize(
+        "spec, d, beta, L",
+        [("couette", 1.0, 10.0, 4.0), ("parabola:7,0", 1.0, 30.0, 6.0),
+         ("linear:-1.3,0.4", 0.7, 20.0, 3.0)],
+        ids=["couette", "parabola", "linear-decreasing"],
+    )
+    def test_residual_falls_with_eps_only_at_c_L(self, spec, d, beta, L):
+        band = band_extrema(parse_profile(spec), d)
+        assert band.monotone
+        make = near_shear_waves(band, beta, L, nx=256)
+        wave = make(1e-3)
+        at_c_L = diagnostics(wave).residual_rel
+        assert at_c_L / diagnostics(make(1e-2)).residual_rel <= 0.15
+        assert diagnostics(make(1e-3, dc=1e-3)).residual_rel / at_c_L >= 2.0
+        report = classify(wave)
+        assert report.genuine
+        assert report.categories() == ("outside",)
+
+
 class TestClassify:
     def test_min_critical_example_at_beta0(self):
         wf = make_min_critical_wave(MIN_CRITICAL_BETA0, 256, 129)
@@ -140,7 +165,7 @@ class TestClassify:
 
     def test_pure_shear_not_genuine(self):
         grid = channel_grid(64, 65)
-        _, Y = grid.mesh()
+        _, Y = np.meshgrid(grid.x, grid.y)
         wf = WaveField(grid, np.sin(Y) * np.ones(grid.shape), np.zeros(grid.shape), 0.3, 1.0)
         rep = classify(wf)
         assert not rep.genuine
@@ -222,7 +247,7 @@ class TestRigidityPredicates:
             "positive_vorticity_gradient_window"
         ]
         assert window.conclusion == "shear flow"
-        assert verdict.shear_concluded()
+        assert any(t.conclusion == "shear flow" for t in verdict.applicable_theorems)
 
     def test_bickley_threshold_uses_closed_form(self):
         d = 0.5
@@ -243,7 +268,7 @@ class TestRigidityPredicates:
     def test_genuine_wave_defeats_every_theorem(self):
         wf = make_inflection_wave(Example31Params(beta=1.0), 128, 65)
         verdict = classify(wf).rigidity
-        assert not verdict.shear_concluded()
+        assert not any(t.conclusion == "shear flow" for t in verdict.applicable_theorems)
         for theorem in verdict.applicable_theorems:
             failed = [h for h in theorem.hypotheses if not h.satisfied]
             assert failed, f"{theorem.name} claims applicability on a genuine wave"

@@ -108,16 +108,17 @@ class TestCriticalBeta:
             capsys, "critical-beta", "--profile", "kolmogorov", "--d", "3.14159"
         )
         assert code == 1
-        # the vertex y = 0.25 lies inside the band; the monotone guard runs
-        # ahead of the pencil, which would return a number here.  The quintic's
-        # u0' has two zeros 2.5e-4 apart, so it is not monotone either.
+        # the vertex y = 0.25 lies inside the band; the singular check at
+        # c = u0_min runs ahead of the pencil, which would return a number here.
+        # The quintic's u0' has two zeros 2.5e-4 apart, so it is not monotone either.
         for profile in "parabola:0.5,0", CLOSE_ZERO_PAIR:
             code, _, err = run_cli(capsys, "critical-beta", "--profile", profile, "--d", "1")
             assert code == 1
             assert err.count("\n") == 1 and err.endswith("\n")
             assert json.loads(err) == {
-                "error": "DomainError",
-                "message": "critical_beta needs a monotone profile on the band",
+                "error": "UnsupportedSingularityError",
+                "message": "c = u0_min needs a certified monotone profile so the potential "
+                "blows up only at one wall",
             }
 
 
@@ -146,14 +147,17 @@ class TestCurve:
         _, out2, _ = run_cli(capsys, *argv)
         assert out1 == out2
 
-    def test_failed_points_leave_empty_csv_fields(self, capsys):
+    def test_failed_points_leave_empty_csv_fields(self, capsys, monkeypatch):
+        # a tolerance no ladder reaches below N = 1024 flags every point
+        monkeypatch.setattr(qgwave.eigen, "_N_MAX", 1024)
         code, out, _ = run_cli(
             capsys,
-            "curve", "--profile", "kolmogorov", "--d", "3.141592653589793",
-            "--beta-min", "1", "--beta-max", "2", "--n", "2",
+            "curve", "--profile", "couette", "--d", "1",
+            "--beta-min", "1", "--beta-max", "2", "--n", "2", "--tol", "1e-16",
         )
         assert code == 0
         lines = out.strip().split("\n")
+        assert len(lines) == 3
         for row in lines[1:]:
             beta, lam, lc = row.split(",")
             assert beta and lam == "" and lc == ""

@@ -161,6 +161,24 @@ class TestPrincipalEigenvalue:
         with pytest.raises(UnsupportedSingularityError):
             principal_eigenvalue(band, 1.0, band.u0_min)
 
+    @pytest.mark.parametrize(
+        "finder",
+        [
+            critical_beta,
+            lambda band: lambda_inf_over_c(band, 1.0),
+            lambda band: wave_speed_root(band, 1.0, 4.0),
+            lambda band: boundary_curve(band, 1.0, 2.0, 3),
+        ],
+        ids=["critical_beta", "inf_c", "root_c", "curve"],
+    )
+    def test_every_finder_rejects_a_nonmonotone_band_before_any_rung(self, monkeypatch, finder):
+        # each starts at c = u0_min, where the one singular check decides
+        rungs = []
+        monkeypatch.setattr(qgwave.eigen, "_rung", lambda *args: rungs.append(args))
+        with pytest.raises(UnsupportedSingularityError):
+            finder(band_extrema(Kolmogorov(), math.pi))
+        assert rungs == []
+
     def test_nonmonotone_regular_case_allowed(self):
         band = band_extrema(Kolmogorov(), math.pi)
         res = principal_eigenvalue(band, 1.0, -2.0)
@@ -329,7 +347,7 @@ class TestLapackKernel:
 
         with pytest.raises(ValueError, match="^array must not contain infs or NaNs$"):
             _eigh_tridiagonal_rung(coeffs, 1.0, n)
-        with pytest.raises(ValueError, match="^array must not contain infs or NaNs$"):
+        with pytest.raises(DomainError, match=f"^the rung matrix on N={n} intervals .* not finite"):
             qgwave.eigen._rung(coeffs, 1.0, n)
 
     @pytest.mark.parametrize("failure", ["no_extension_file", "load_error"])
@@ -808,13 +826,23 @@ class TestBoundaryCurve:
         with pytest.raises(DomainError):
             boundary_curve(couette_band, 1.0, 2.0, 1)
 
-    def test_per_point_errors_flagged_not_raised(self):
-        # a non-monotone band makes every singular solve fail; the sweep
-        # must flag each point and keep going
-        band = band_extrema(Kolmogorov(), math.pi)
-        pts = boundary_curve(band, 1.0, 2.0, 3)
+    def test_per_point_errors_flagged_not_raised(self, couette_band, monkeypatch):
+        # a tolerance no ladder reaches below N = 1024 fails every solve; the
+        # sweep must flag each point and keep going
+        monkeypatch.setattr(qgwave.eigen, "_N_MAX", 1024)
+        pts = boundary_curve(couette_band, 1.0, 2.0, 3, tol=1e-16)
         assert len(pts) == 3
         assert all(p.error is not None and p.lambda1_at_u0min is None for p in pts)
+        assert all(p.error.startswith("eigenvalue ladder reached N=1024") for p in pts)
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0])
+    def test_nonpositive_tol_raises_before_any_solve(self, couette_band, monkeypatch, tol):
+        # a non-monotone band: TestPrincipalEigenvalue's every-finder test
+        rungs = []
+        monkeypatch.setattr(qgwave.eigen, "_rung", lambda *args: rungs.append(args))
+        with pytest.raises(DomainError, match="tolerance must be positive"):
+            boundary_curve(couette_band, 1.0, 2.0, 3, tol=tol)
+        assert rungs == []
 
     def test_programming_errors_propagate(self, couette_band, monkeypatch):
         def broken(*args, **kwargs):

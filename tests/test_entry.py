@@ -71,6 +71,8 @@ MATRIX = {
     "root-c-json": ("root-c", *BAND, "--beta", "10", "--L", "4", "--json"),
     "science-error": ("root-c", *BAND, "--beta", "1", "--L", "10"),
     "singular-error": ("eigen", "--profile", CLOSE_ZERO_PAIR, "--d", "1", "--beta", "2", "--c", "min"),
+    "curve-singular-error": ("curve", "--profile", "kolmogorov", "--d", "3.2",
+                             "--beta-min", "1", "--beta-max", "2", "--n", "3"),
     "usage-error": ("eigen", "--nope"),
     "help": ("root-c", "--help"),
     # the process entry reads the family from sys.argv just as main(argv) does
@@ -99,6 +101,28 @@ def test_singular_request_on_a_nonmonotone_band_is_one_json_error(capsys):
     assert (code, out) == (1, "")
     assert err.count("\n") == 1
     assert json.loads(err)["error"] == "UnsupportedSingularityError"
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (MATRIX["curve-singular-error"], "UnsupportedSingularityError"),
+        # h^2 underflows, or the potential overflows, on the first rung
+        (("eigen", "--profile", "couette", "--d", "1e-300", "--beta", "2", "--c", "min"),
+         "DomainError"),
+        (("eigen", *BAND, "--beta", "1e308", "--c", "min"), "DomainError"),
+        (("inf-c", "--profile", "couette", "--d", "1e-160", "--beta", "2"), "DomainError"),
+        # (2 pi / L)^2 overflows
+        (("root-c", *BAND, "--beta", "10", "--L", "1e-300"), "DomainError"),
+    ],
+    ids=["curve-nonmonotone", "eigen-tiny-d", "eigen-huge-beta", "inf-c-tiny-d", "root-c-tiny-L"],
+)
+def test_error_path_is_one_json_line(tmp_path, argv, error):
+    code, out, err = run_process(argv, tmp_path)
+    assert (code, out) == (1, "")
+    assert "Traceback" not in err and "Warning" not in err
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"] == error
 
 
 @pytest.mark.parametrize(

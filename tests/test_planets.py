@@ -66,13 +66,13 @@ class TestBandHalfwidth:
 
 class TestDataTypes:
     def test_constants_serialize_back(self):
-        assert JUPITER.to_dict() == {
+        assert JUPITER._asdict() == {
             "name": "jupiter",
             "R_prime": 69911e3,
             "Omega_prime": 1.76e-4,
             "U_prime": 150.0,
         }
-        assert SATURN.to_dict() == {
+        assert SATURN._asdict() == {
             "name": "saturn",
             "R_prime": 58232e3,
             "Omega_prime": 1.62e-4,

@@ -21,7 +21,6 @@ from qgwave import (
     couette,
     parse_profile,
 )
-from qgwave.profiles import BICKLEY_INFLECTION
 
 from _oracles import CLOSE_ZERO_PAIR, degree_two_band, scaled
 
@@ -56,7 +55,8 @@ class TestEval:
         assert np.allclose(u0pp, np.polynomial.polynomial.polyval(ys, np.polynomial.polynomial.polyder(dcoef)))
 
     def test_bickley_curvature_zero_crossing(self):
-        _, _, at_zero = Bickley().eval(BICKLEY_INFLECTION)
+        # |y| = ln(2 + sqrt(3)) / 2, where u0'' changes sign
+        _, _, at_zero = Bickley().eval(0.5 * math.log(2.0 + math.sqrt(3.0)))
         assert abs(at_zero) < 1e-14
 
     def test_scaled_profile(self):
