@@ -107,15 +107,6 @@ class RigidityVerdict(NamedTuple):
 
     applicable_theorems: tuple
 
-    def to_dict(self) -> dict:
-        """Nested records as dicts, so the JSON document holds objects, not arrays."""
-        return {
-            "applicable_theorems": tuple(
-                {**t._asdict(), "hypotheses": tuple(h._asdict() for h in t.hypotheses)}
-                for t in self.applicable_theorems
-            )
-        }
-
 
 class ClassificationReport(NamedTuple):
     """Per-category verdicts with the numerical evidence behind each.
@@ -161,13 +152,6 @@ class ClassificationReport(NamedTuple):
         if self.category_outside:
             cats.append("outside")
         return tuple(cats)
-
-    def to_dict(self) -> dict:
-        return {
-            **self._asdict(),
-            "rigidity": self.rigidity.to_dict(),
-            "categories": list(self.categories()),
-        }
 
 
 def _directional_margin(fx: np.ndarray, fy: np.ndarray, grid: Grid2D, eps_scale: float) -> float:

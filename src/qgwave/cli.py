@@ -2,15 +2,17 @@
 
 Each subcommand declares its flags once, on its handler (`_args`, `_band`),
 and `example` takes only the flags of the family `--name` names.  A handler
-returns (payload, text); `run` is the one place that writes: the text by
-default (CSV for `curve`), or with `--json` the payload as a sorted JSON
-document with a `meta` block, to stdout or to the `-o` file.  `example`
-streams its field itself, row by row, and returns nothing to write.
+returns (payload, text); `run` is the one place that writes, and the one
+that turns records and errors into JSON: the text by default (CSV for
+`curve`), or with `--json` the payload, each record in it an object, as a
+sorted JSON document with a `meta` block, to stdout or to the `-o` file.
+`example` streams its field itself, row by row, and returns nothing to write.
 
 Exit codes: 0 success, 1 scientific failure (domain violations, lost
-convergence, missing roots) with JSON error detail on stderr, 2 usage
-errors.  Output is fully deterministic: identical invocations produce
-identical bytes, and the only metadata is the tool name and version.
+convergence, missing roots) with JSON error detail on stderr (the error's
+class, message and instance attributes), 2 usage errors.  Output is fully
+deterministic: identical invocations produce identical bytes, and the only
+metadata is the tool name and version.
 """
 
 import argparse
@@ -63,6 +65,18 @@ _SCIENCE_ERRORS = (DomainError, ConvergenceError, NoRootError)
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
+
+
+def _plain(x):
+    """x for json.dumps: every record (anything with _asdict) a dict and every
+    tuple or list a list, at any depth."""
+    if hasattr(x, "_asdict"):
+        x = x._asdict()
+    if isinstance(x, dict):
+        return {key: _plain(value) for key, value in x.items()}
+    if isinstance(x, (tuple, list)):
+        return [_plain(value) for value in x]
+    return x
 
 
 def _open_output(path):
@@ -182,18 +196,12 @@ def _root_c(band, args):
        ("--n", dict(type=int, required=True)))
 def _curve(band, args):
     points = boundary_curve(band, args.beta_min, args.beta_max, args.n, tol=args.tol)
-    payload = {
-        "points": [
-            {"beta": p.beta, "lambda1": p.lambda1_at_u0min, "L_crit": p.L_crit, "error": p.error}
-            for p in points
-        ]
-    }
     lines = ["beta,lambda1,L_crit"]
     for p in points:
-        lam = "" if p.lambda1_at_u0min is None else _fmt(p.lambda1_at_u0min)
+        lam = "" if p.lambda1 is None else _fmt(p.lambda1)
         lc = "" if p.L_crit is None else _fmt(p.L_crit)
         lines.append(f"{_fmt(p.beta)},{lam},{lc}")
-    return payload, "\n".join(lines) + "\n"
+    return {"points": points}, "\n".join(lines) + "\n"
 
 
 _FIELD = ("--field", dict(required=True, help="wave-field JSON file"))
@@ -210,23 +218,13 @@ def _classify(args):
         f"theorem_consistent = {report.theorem_consistent}\n"
         f"rigidity: {', '.join(shear) or 'none'}\n"
     )
-    return report.to_dict(), text
+    return {**report._asdict(), "categories": report.categories()}, text
 
 
 @_args(_FIELD)
 def _verify(args):
     wf = read_field(args.field)
-    diag = diagnostics(wf)
-    payload = {
-        "div_inf": diag.div_inf,
-        "residual_inf": diag.residual_inf,
-        "residual_rel": diag.residual_rel,
-        "boundary_v_inf": diag.boundary_v_inf,
-        "total_vorticity_min": diag.total_vorticity_min,
-        "total_vorticity_max": diag.total_vorticity_max,
-        "c": wf.c,
-        "beta": wf.beta,
-    }
+    payload = {**diagnostics(wf)._asdict(), "c": wf.c, "beta": wf.beta}
     return payload, "".join(f"{k} = {_fmt(v)}\n" for k, v in payload.items())
 
 
@@ -378,7 +376,7 @@ def run(args) -> int:
             return 0
         payload, text = out
         if getattr(args, "json", False):
-            doc = {"meta": {"tool": "qgwave", "version": __version__}, **payload}
+            doc = {"meta": {"tool": "qgwave", "version": __version__}, **_plain(payload)}
             text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
         if args.output:
             with _open_output(args.output) as fh:
@@ -389,13 +387,8 @@ def run(args) -> int:
         sys.stderr.write(f"qgwave: {exc}\n")
         return 2
     except _SCIENCE_ERRORS as exc:
-        detail = {"error": type(exc).__name__, "message": str(exc)}
-        if isinstance(exc, NoRootError):
-            detail["lambda_end"] = exc.lambda_end
-            detail["target"] = exc.target
-        if isinstance(exc, ConvergenceError) and exc.last_iterates:
-            detail["last_iterates"] = [list(t) for t in exc.last_iterates]
-        sys.stderr.write(json.dumps(detail, sort_keys=True) + "\n")
+        detail = {"error": type(exc).__name__, "message": str(exc), **vars(exc)}
+        sys.stderr.write(json.dumps(_plain(detail), sort_keys=True) + "\n")
         return 1
     return 0
 

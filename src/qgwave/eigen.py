@@ -164,11 +164,18 @@ def _ground_vector(diag, off):
     """Ground-state eigenvector of the symmetric tridiagonal matrix (diag, off).
 
     dstebz and dstein with scipy.linalg.eigh_tridiagonal(select="i")'s
-    arguments, so bit-identical to it on a finite matrix; one node is its own
-    vector.
+    arguments, so bit-identical to it on a finite matrix whose largest
+    |entry| lies in [2^-256, 2^256], as every ordinary rung's does.  Any
+    other matrix is first scaled, exactly, by the power of two that brings
+    that entry into [0.5, 1): the vector does not depend on the scale, while
+    dstebz squares the off-diagonal, so entries below about 1e-150 gave a
+    wrong vector and no error.  One node is its own vector.
     """
     if len(diag) == 1:
         return np.ones(1)
+    k = -math.frexp(max(np.max(np.abs(diag)), np.max(np.abs(off))))[1]
+    if abs(k) > 256:
+        diag, off = np.ldexp(diag, k), np.ldexp(off, k)
     lapack = _lapack()
     # by index (range 2), il = iu = 1; vl, vu unused; abstol 0 is LAPACK's default
     m, w, iblock, isplit, info = lapack.dstebz(diag, off, 2, 0.0, 1.0, 1, 1, 0.0, "B")
@@ -214,8 +221,9 @@ def _ladder(rung, tol, n_start):
     """Refine rung(n) -> (eigenvalue, vector) from n_start by N -> 2N until |E(2N) - E(N)| < tol.
 
     Returns (E, |E(2N) - E(N)|, final N, final vector, (N, eigenvalue) history);
-    raises DomainError for tol <= 0, before any rung, and ConvergenceError
-    once N would pass _N_MAX.
+    raises DomainError for tol <= 0, before any rung, or once an extrapolate
+    or a difference is not finite (4 lambda(2N) overflows), and
+    ConvergenceError once N would pass _N_MAX.
     """
     if not (tol > 0):
         raise DomainError(f"tolerance must be positive, got {tol}")
@@ -236,10 +244,12 @@ def _ladder(rung, tol, n_start):
         lam, vec = rung(n)
         history.append((n, lam))
         ext = (4.0 * lam - lam_prev) / 3.0
-        if ext_prev is not None:
-            diff = abs(ext - ext_prev)
-            if diff < tol:
-                return ext, diff, n, vec, tuple(history)
+        diff = 0.0 if ext_prev is None else abs(ext - ext_prev)
+        if not (math.isfinite(ext) and math.isfinite(diff)):
+            raise DomainError(f"the Richardson extrapolate on N={n} intervals is not finite "
+                              f"(lambda(N) = {lam}): the eigenvalue's scale overflows")
+        if ext_prev is not None and diff < tol:
+            return ext, diff, n, vec, tuple(history)
         lam_prev, ext_prev = lam, ext
 
 
@@ -442,15 +452,15 @@ def wave_speed_root(band: ProfileOnBand, beta: float, L: float, tol: float = DEF
 class CurvePoint(NamedTuple):
     """One sample of the rigidity/existence boundary curve.
 
-    L_crit = 2 pi / sqrt(-lambda1) is the critical zonal period separating
-    rigidity (shorter channels) from existence of nearby genuine waves
-    (longer channels); it is None (infinite) while lambda1 >= 0.  error
-    carries the message of a ladder that did not converge at this beta,
-    without aborting the sweep.
+    lambda1 is at c = u0_min.  L_crit = 2 pi / sqrt(-lambda1) is the
+    critical zonal period separating rigidity (shorter channels) from
+    existence of nearby genuine waves (longer channels); it is None
+    (infinite) while lambda1 >= 0.  error carries the message of a ladder
+    that did not converge at this beta, without aborting the sweep.
     """
 
     beta: float
-    lambda1_at_u0min: Optional[float]
+    lambda1: Optional[float]
     L_crit: Optional[float]
     error: Optional[str] = None
 

@@ -30,12 +30,15 @@ class ConvergenceError(QgwaveError, RuntimeError):
     """Grid refinement exhausted without meeting the requested tolerance.
 
     Carries the last two eigenvalue iterates so callers can inspect how far
-    the refinement got.
+    the refinement got; raised without them, it has only the class's ().
     """
+
+    last_iterates = ()
 
     def __init__(self, message, last_iterates=None):
         super().__init__(message)
-        self.last_iterates = tuple(last_iterates) if last_iterates else ()
+        if last_iterates:
+            self.last_iterates = tuple(last_iterates)
 
 
 class NoRootError(QgwaveError, RuntimeError):

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+import qgwave
 from qgwave import (
     Bickley,
     ChannelGeometry,
@@ -20,8 +21,11 @@ from qgwave import (
     couette,
     diagnostics,
     profile_rigidity_bound,
+    read_field,
+    write_field,
 )
 from qgwave.channel import laplacian
+from qgwave.cli import main
 from qgwave.classify import _level_mask
 from qgwave.eigen import principal_eigenvalue
 from qgwave.flows import (
@@ -328,14 +332,20 @@ class TestProfileRigidityBound:
         assert threshold < 0.0 and not ok
 
 
-class TestToDict:
-    """Records nest; their JSON documents hold objects, not arrays, at every level."""
+class TestClassifyJson:
+    """Records nest; `classify --json` holds objects, not arrays, at every level."""
 
-    def test_rigidity_verdict_json_is_objects_all_the_way_down(self):
-        verdict = classify(
-            make_inflection_wave(Example31Params(beta=1.0), 64, 33)
-        ).rigidity
-        doc = json.loads(json.dumps(verdict.to_dict()))
+    @staticmethod
+    def document(field, tmp_path):
+        """classify's report on field as written to a file and read back, and
+        the `classify --json` document of that file."""
+        path, out = tmp_path / "f.json", tmp_path / "out.json"
+        write_field(field, path)
+        assert main(["classify", "--field", str(path), "--json", "-o", str(out)]) == 0
+        return classify(read_field(path)), json.loads(out.read_text())
+
+    @staticmethod
+    def assert_verdict_objects(doc, verdict):
         assert list(doc) == ["applicable_theorems"]
         assert len(doc["applicable_theorems"]) == len(verdict.applicable_theorems) == 4
         for entry, theorem in zip(doc["applicable_theorems"], verdict.applicable_theorems):
@@ -347,12 +357,18 @@ class TestToDict:
                     "condition": h.condition, "satisfied": h.satisfied, "evidence": h.evidence
                 }
 
-    def test_classification_report_json_is_objects(self):
-        report = classify(make_min_critical_wave(MIN_CRITICAL_BETA0, 64, 33))
-        doc = json.loads(json.dumps(report.to_dict()))
+    def test_rigidity_verdict_json_is_objects_all_the_way_down(self, tmp_path):
+        report, doc = self.document(
+            make_inflection_wave(Example31Params(beta=1.0), 64, 33), tmp_path
+        )
+        self.assert_verdict_objects(doc["rigidity"], report.rigidity)
+
+    def test_classification_report_json_is_objects(self, tmp_path):
+        report, doc = self.document(make_min_critical_wave(MIN_CRITICAL_BETA0, 64, 33), tmp_path)
+        assert doc.pop("meta") == {"tool": "qgwave", "version": qgwave.__version__}
         assert doc.keys() == {*report._fields, "categories"}
         assert doc["categories"] == list(report.categories())
-        assert doc.pop("rigidity") == json.loads(json.dumps(report.rigidity.to_dict()))
+        self.assert_verdict_objects(doc.pop("rigidity"), report.rigidity)
         assert doc["critical_count"] > 0
         for key in ("inflection_witnesses", "critical_witnesses"):
             assert all(w.keys() == {"iy", "ix", "x", "y"} for w in doc[key])

@@ -337,6 +337,26 @@ class TestLapackKernel:
         assert lam == lam_ref
         assert vec.tobytes() == vec_ref.tobytes()
 
+    @pytest.mark.parametrize("exponent", [-900, 900])
+    @pytest.mark.parametrize("case", ["couette_singular", "couette_pencil"])
+    def test_rung_far_from_unit_scale_is_the_unit_rung_scaled(self, couette_band, case, exponent):
+        # (s, sv) times 2^exponent scales the matrix, and so the eigenvalue,
+        # exactly; without the kernel's own scaling dstebz squares entries
+        # near 1e-267 to zero
+        if case == "couette_singular":
+            coeffs = _lambda1_coeffs(couette_band, 5.0, couette_band.u0_min)
+        else:
+            coeffs = _pencil_coeffs(couette_band)
+
+        def far(y):
+            s, sv = coeffs(y)
+            return np.ldexp(s, exponent), np.ldexp(sv, exponent)
+
+        lam, vec = qgwave.eigen._rung(coeffs, 1.0, 256)
+        lam_far, vec_far = qgwave.eigen._rung(far, 1.0, 256)
+        assert lam_far == pytest.approx(math.ldexp(lam, exponent), rel=1e-12)
+        np.testing.assert_allclose(vec_far, vec, rtol=1e-10, atol=1e-12)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     @pytest.mark.parametrize("n", [2, 256])
     def test_nonfinite_potential_raises_as_scipy_did(self, bad, n):
@@ -790,7 +810,7 @@ class TestWaveSpeedRoot:
 class TestBoundaryCurve:
     def test_below_transition_all_infinite(self, couette_band):
         pts = boundary_curve(couette_band, 0.0, 1.8, 5)
-        assert all(p.L_crit is None and p.lambda1_at_u0min > 0 for p in pts)
+        assert all(p.L_crit is None and p.lambda1 > 0 for p in pts)
 
     def test_above_transition_decreasing(self, couette_band):
         pts = boundary_curve(couette_band, 2.0, 10.0, 5)
@@ -832,7 +852,7 @@ class TestBoundaryCurve:
         monkeypatch.setattr(qgwave.eigen, "_N_MAX", 1024)
         pts = boundary_curve(couette_band, 1.0, 2.0, 3, tol=1e-16)
         assert len(pts) == 3
-        assert all(p.error is not None and p.lambda1_at_u0min is None for p in pts)
+        assert all(p.error is not None and p.lambda1 is None for p in pts)
         assert all(p.error.startswith("eigenvalue ladder reached N=1024") for p in pts)
 
     @pytest.mark.parametrize("tol", [0.0, -1.0])

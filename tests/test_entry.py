@@ -6,6 +6,7 @@ code as main(argv) in process, and only it may touch the garbage collector.
 import atexit
 import gc
 import json
+import math
 import os
 import subprocess
 import sys
@@ -15,6 +16,9 @@ import pytest
 
 import qgwave
 from qgwave.cli import main
+from qgwave.eigen import DEFAULT_ROOT_TOL, principal_eigenvalue
+from qgwave.errors import ConvergenceError
+from qgwave.profiles import band_extrema, parse_profile
 
 from _oracles import CLOSE_ZERO_PAIR
 
@@ -111,11 +115,14 @@ def test_singular_request_on_a_nonmonotone_band_is_one_json_error(capsys):
         (("eigen", "--profile", "couette", "--d", "1e-300", "--beta", "2", "--c", "min"),
          "DomainError"),
         (("eigen", *BAND, "--beta", "1e308", "--c", "min"), "DomainError"),
+        # finite rungs, but 4 lambda(2N) overflows in the first extrapolate
+        (("eigen", *BAND, "--beta", "1e308", "--c", "-2"), "DomainError"),
         (("inf-c", "--profile", "couette", "--d", "1e-160", "--beta", "2"), "DomainError"),
         # (2 pi / L)^2 overflows
         (("root-c", *BAND, "--beta", "10", "--L", "1e-300"), "DomainError"),
     ],
-    ids=["curve-nonmonotone", "eigen-tiny-d", "eigen-huge-beta", "inf-c-tiny-d", "root-c-tiny-L"],
+    ids=["curve-nonmonotone", "eigen-tiny-d", "eigen-huge-beta", "eigen-extrapolate-overflow",
+         "inf-c-tiny-d", "root-c-tiny-L"],
 )
 def test_error_path_is_one_json_line(tmp_path, argv, error):
     code, out, err = run_process(argv, tmp_path)
@@ -123,6 +130,66 @@ def test_error_path_is_one_json_line(tmp_path, argv, error):
     assert "Traceback" not in err and "Warning" not in err
     assert err.count("\n") == 1
     assert json.loads(err)["error"] == error
+
+
+@pytest.mark.parametrize(
+    "profile, d",
+    [("linear:1e-300,0", 1.0), ("couette", 1e150)],
+    ids=["tiny-slope", "wide-band"],
+)
+def test_far_scale_band_prints_its_critical_beta(tmp_path, profile, d):
+    # rung entries near 1e-296: LAPACK sees them scaled to unit size
+    from scipy.special import jn_zeros
+
+    argv = ["critical-beta", "--profile", profile, "--d", repr(d), "--json"]
+    code, out, err = run_process(argv, tmp_path)
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    slope = 1e-300 if profile.startswith("linear") else 1.0
+    assert doc["beta_crit"] == pytest.approx(slope / d * float(jn_zeros(1, 1)[0]) ** 2 / 8.0,
+                                             rel=1e-7)
+    assert abs(doc["residual_lambda1"]) < 1e-6 * (math.pi / (2.0 * d)) ** 2
+
+
+def test_convergence_error_detail_is_message_and_last_iterates(capsys, monkeypatch):
+    monkeypatch.setattr(qgwave.eigen, "_N_MAX", 1024)
+    band = band_extrema(parse_profile("couette"), 1.0)
+    with pytest.raises(ConvergenceError) as exc:
+        principal_eigenvalue(band, 1.0, -1.0, tol=1e-16)
+    code, out, err = run_in_process(("eigen", *BAND, "--beta", "1", "--c", "-1", "--tol", "1e-16"),
+                                    capsys)
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1
+    (n_half, lam_half), (n, lam) = exc.value.last_iterates
+    assert (n_half, n) == (512, 1024)
+    assert json.loads(err) == {
+        "error": "ConvergenceError",
+        "message": str(exc.value),
+        "last_iterates": [[512, lam_half], [1024, lam]],
+    }
+    assert str(exc.value).startswith("eigenvalue ladder reached N=1024 without |E(2N)-E(N)| < 1e-16")
+
+
+def test_no_root_error_detail_is_message_lambda_end_and_target(capsys):
+    band = band_extrema(parse_profile("couette"), 1.0)
+    lam = principal_eigenvalue(band, 1.0, band.u0_min, tol=DEFAULT_ROOT_TOL / 4.0).lambda1
+    target = -((2.0 * math.pi / 10.0) ** 2)
+    code, out, err = run_in_process(MATRIX["science-error"], capsys)
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {
+        "error": "NoRootError",
+        "message": f"lambda1(beta, u0_min) = {lam} does not reach the target {target}; "
+                   "no wave-speed root is guaranteed",
+        "lambda_end": lam,
+        "target": target,
+    }
+
+
+def test_domain_error_detail_is_only_error_and_message(capsys):
+    code, out, err = run_in_process(("eigen", *BAND, "--beta", "2", "--c", "0.5"), capsys)
+    assert (code, out) == (1, "")
+    assert err == ('{"error": "DomainError", "message": "wave speed c=0.5 exceeds the profile '
+                   'minimum u0_min=-1.0"}\n')
 
 
 @pytest.mark.parametrize(
